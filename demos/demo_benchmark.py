@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Throughput: parallel cascade scoring vs the sequential biLSTM baseline.
+"""Throughput: batched cascade scoring vs the sequential biLSTM baseline.
 
 The baseline walks the document token by token (50 states per direction),
-so its wall time grows linearly and workers cannot help it. The cascade
-scores all spans with batched matrix work fanned out over threads, so its
-advantage grows with document length.
+so its wall time grows linearly and parallel hardware cannot help it. The
+cascade scores all spans with batched matrix work, so its advantage grows
+with document length.
 """
 
 from spancascade.bench import run_benchmark
@@ -13,7 +13,6 @@ from spancascade.bench import run_benchmark
 def main():
     result = run_benchmark(
         lengths=[200, 1000, 3000, 10000],
-        workers=4,
         reps=3,
         embed_dim=16,
         hidden_width=32,

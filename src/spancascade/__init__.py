@@ -12,10 +12,7 @@ from .autodiff import (
     ffnn,
     finite_difference_check,
     linear,
-    mean,
     softmax_normalize,
-    sum_tensors,
-    weighted_mean,
 )
 from .bench import BiLstmParams, bilstm_forward, run_benchmark
 from .corpus import (

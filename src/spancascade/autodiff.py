@@ -5,9 +5,11 @@ Operations are free functions that push nodes; ``Tape.backward`` walks the
 nodes in reverse creation order (a valid topological order by construction)
 and accumulates gradients in that fixed order, so repeated runs are
 bitwise identical. Only the operations the span-scoring cascade needs are
-provided: two-layer ReLU nets, linear score heads, softmax normalization,
-list aggregates, row gather/scatter, segment sums and log-sum-exp. There
-is no broadcasting beyond a bias row / scalar and no GPU support.
+provided: two-layer ReLU nets (one fused node each), linear score heads,
+softmax normalization, row gather/scatter, segment sums and log-sum-exp.
+There is no broadcasting beyond a bias row / scalar and no GPU support.
+A tape built with ``record=False`` runs the same operations for inference
+without keeping any node.
 """
 
 from __future__ import annotations
@@ -94,12 +96,16 @@ class Tensor:
 class Tape:
     """Ordered record of forward operations for one unit of work.
 
-    A tape is single-threaded; parameters bound to it via ``variable`` are
-    read-only during the pass and may be shared across concurrent tapes.
+    A recording tape keeps every node for ``backward`` and rejects a
+    non-finite value as soon as an operation produces it. A non-recording
+    tape (``record=False``) only evaluates: it keeps no node, skips the
+    per-node finiteness scan and refuses ``backward``. A tape is
+    single-threaded; parameters bound to it via ``variable`` are read-only
+    during the pass.
     """
 
-    def __init__(self, check_finite=True):
-        self.check_finite = check_finite
+    def __init__(self, record=True):
+        self.record = record
         self._values: list[Array] = []
         self._parents: list[tuple] = []
         self._backwards: list = []
@@ -113,7 +119,9 @@ class Tape:
 
     def _push(self, value, parents=(), backward=None, needs=None, op="op") -> Tensor:
         value = _f64(value)
-        if self.check_finite and not np.all(np.isfinite(value)):
+        if not self.record:
+            return Tensor(self, -1, value)
+        if not np.all(np.isfinite(value)):
             raise NonFiniteError(f"non-finite value produced by {op}")
         if needs is None:
             needs = any(self._needs[p] for p in parents)
@@ -144,6 +152,8 @@ class Tape:
         order is deterministic. Unreachable nodes keep a None slot and
         read back as exact zeros.
         """
+        if not self.record:
+            raise ContractError("backward needs a recording tape")
         if root.tape is not self:
             raise ContractError("root tensor belongs to a different tape")
         if root.value.ndim != 0:
@@ -281,16 +291,17 @@ def relu(a: Tensor) -> Tensor:
 
 
 def concat(xs: list[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors end to end."""
+    """Join vectors end to end, or the rows of equal-width matrices."""
     if not xs:
         raise EmptyCandidateError("concat of an empty list")
     tape = _check_same_tape(*xs)
-    sizes = []
+    width = xs[0].value.shape[1:]
     for x in xs:
-        if x.value.ndim != 1:
-            raise DimensionError(f"concat expects vectors, got shape {x.value.shape}")
-        sizes.append(x.value.shape[0])
-    splits = np.cumsum(sizes)[:-1]
+        if x.value.ndim not in (1, 2) or x.value.shape[1:] != width:
+            raise DimensionError(
+                f"concat expects vectors or matrices of width {width}, "
+                f"got shape {x.value.shape}")
+    splits = np.cumsum([x.value.shape[0] for x in xs])[:-1]
 
     def back(g):
         return tuple(np.split(g, splits))
@@ -316,10 +327,9 @@ def hstack(xs: list[Tensor]) -> Tensor:
                 f"hstack expects matrices with {rows} rows, got {x.value.shape}"
             )
         widths.append(x.value.shape[1])
-    splits = np.cumsum(widths)[:-1]
 
     def back(g):
-        return tuple(np.split(g, splits, axis=1))
+        return tuple(np.split(g, np.cumsum(widths)[:-1], axis=1))
 
     return tape._push(
         np.concatenate([x.value for x in xs], axis=1),
@@ -379,29 +389,13 @@ def sum_rows(a: Tensor) -> Tensor:
     return a.tape._push(a.value.sum(axis=0), (a.idx,), back, op="sum_rows")
 
 
-def mean(xs: list[Tensor]) -> Tensor:
-    """Arithmetic mean of equal-shape vectors."""
-    if not xs:
-        raise EmptyCandidateError("mean of an empty list")
-    return scale(sum_tensors(xs), 1.0 / len(xs))
-
-
-def sum_tensors(xs: list[Tensor]) -> Tensor:
-    """Elementwise sum of equal-shape vectors."""
-    if not xs:
-        raise EmptyCandidateError("sum of an empty list")
-    return sum_rows(stack_rows(xs))
-
-
-def weighted_mean(xs: list[Tensor], logits: Tensor) -> Tensor:
-    """Softmax the logits, then combine the vectors with those weights."""
-    if not xs:
-        raise EmptyCandidateError("weighted_mean of an empty list")
-    if logits.value.shape != (len(xs),):
-        raise DimensionError(
-            f"expected {len(xs)} logits, got shape {logits.value.shape}"
-        )
-    return matmul(softmax_normalize(logits), stack_rows(xs))
+def _scatter_add_rows(rows: Array, idx: Array, n: int) -> Array:
+    """out[idx[i]] += rows[i] over i in order, from zeros: np.add.at's sums,
+    computed by one bincount over flattened (row, column) slots."""
+    width = rows.shape[1]
+    slots = (idx[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(slots, weights=rows.ravel(), minlength=n * width)
+    return out.reshape(n, width)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -411,9 +405,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         raise DimensionError(f"gather_rows expects a matrix, got {a.value.shape}")
 
     def back(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return (out,)
+        return (_scatter_add_rows(g, idx, a.value.shape[0]),)
 
     return a.tape._push(a.value[idx], (a.idx,), back, op="gather_rows")
 
@@ -441,8 +433,7 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
         raise DimensionError(
             f"{a.value.shape[0]} rows but {segment_ids.shape[0]} segment ids"
         )
-    out = np.zeros((num_segments, a.value.shape[1]), dtype=np.float64)
-    np.add.at(out, segment_ids, a.value)
+    out = _scatter_add_rows(a.value, segment_ids, num_segments)
 
     def back(g):
         return (g[segment_ids],)
@@ -544,12 +535,17 @@ class DropoutState:
         return self.training and self.rate > 0.0
 
 
+def _dropout_mask(state: DropoutState | None, shape) -> Array | None:
+    if state is None or not state.active:
+        return None
+    return (state.rng.random(shape) >= state.rate) / (1.0 - state.rate)
+
+
 def dropout(a: Tensor, state: DropoutState | None) -> Tensor:
     """Zero units with probability ``rate``; kept units scale by 1/(1-rate)."""
-    if state is None or not state.active:
+    mask = _dropout_mask(state, a.value.shape)
+    if mask is None:
         return a
-    keep = 1.0 - state.rate
-    mask = (state.rng.random(a.value.shape) >= state.rate) / keep
     return a.tape._push(a.value * mask, (a.idx,), lambda g: (g * mask,), op="dropout")
 
 
@@ -621,29 +617,63 @@ def _uniform_init(rng: np.random.Generator, *shape) -> Array:
 def ffnn(x: Tensor, p: FfnnParams, drop: DropoutState | None = None) -> Tensor:
     """Apply the two-layer ReLU net to a vector or to each matrix row.
 
-    In training mode dropout hits both ReLU outputs (inverted scaling);
-    at inference it is the identity.
+    One fused node with a hand-written backward. In training mode dropout
+    hits both ReLU outputs (inverted scaling, first layer's mask drawn
+    first); at inference it is the identity.
     """
     V, a, U, b = p.V, p.a, p.U, p.b
-    in_dim = _shape_of(V)[1]
-    width = _shape_of(V)[0]
-    if _shape_of(U) != (width, width):
+    tape = _check_same_tape(x, V, a, U, b)
+    xv, Vv, Uv = x.value, V.value, U.value
+    width, in_dim = Vv.shape
+    if Uv.shape != (width, width):
         raise DimensionError(
-            f"U must be {(width, width)} to chain after V {_shape_of(V)}, "
-            f"got {_shape_of(U)}"
-        )
-    xs = x.value.shape
-    if x.value.ndim == 1:
-        if xs[0] != in_dim:
-            raise DimensionError(f"ffnn input shape {xs} vs V shape {_shape_of(V)}")
-        h = dropout(relu(add(matmul(V, x), a)), drop)
-        return dropout(relu(add(matmul(U, h), b)), drop)
-    if x.value.ndim == 2:
-        if xs[1] != in_dim:
-            raise DimensionError(f"ffnn input shape {xs} vs V shape {_shape_of(V)}")
-        h = dropout(relu(add(matmul(x, transpose(V)), a)), drop)
-        return dropout(relu(add(matmul(h, transpose(U)), b)), drop)
-    raise DimensionError(f"ffnn input must be 1-D or 2-D, got shape {xs}")
+            f"U must be {(width, width)} to chain after V {Vv.shape}, got {Uv.shape}")
+    if xv.ndim not in (1, 2):
+        raise DimensionError(f"ffnn input must be 1-D or 2-D, got shape {xv.shape}")
+    if xv.shape[-1] != in_dim:
+        raise DimensionError(f"ffnn input shape {xv.shape} vs V shape {Vv.shape}")
+    vec = xv.ndim == 1
+    rows = 1 if vec else xv.shape[0]
+    tape.stats.macs += rows * in_dim * width + rows * width * width
+    pre1 = Vv @ xv if vec else xv @ Vv.T
+    pre1 += a.value
+    on1 = pre1 > 0 if tape.record else None  # ReLU masks, for backward only
+    h = np.maximum(pre1, 0.0, out=pre1)
+    drop1 = _dropout_mask(drop, h.shape)
+    if drop1 is not None:
+        h = h * drop1
+    pre2 = Uv @ h if vec else h @ Uv.T
+    pre2 += b.value
+    on2 = pre2 > 0 if tape.record else None
+    out = np.maximum(pre2, 0.0, out=pre2)
+    drop2 = _dropout_mask(drop, out.shape)
+    if drop2 is not None:
+        out = out * drop2
+    parents = (x.idx, V.idx, a.idx, U.idx, b.idx)
+    if not tape.record:
+        return tape._push(out, parents)
+    x_needs = tape._needs[x.idx]
+
+    def back(g):
+        # same products, in the same order, as the unfused chain of
+        # matmul / add / relu / dropout nodes
+        if drop2 is not None:
+            g = g * drop2
+        g = g * on2
+        gU = np.outer(g, h) if vec else (h.T @ g).T
+        gb = g if vec else g.sum(axis=0)
+        gh = Uv.T @ g if vec else g @ Uv
+        if drop1 is not None:
+            gh = gh * drop1
+        gh = gh * on1
+        gV = np.outer(gh, xv) if vec else (xv.T @ gh).T
+        ga = gh if vec else gh.sum(axis=0)
+        gx = None
+        if x_needs:
+            gx = Vv.T @ gh if vec else gh @ Vv
+        return gx, gV, ga, gU, gb
+
+    return tape._push(out, parents, back, op="ffnn")
 
 
 def linear(h: Tensor, p: LinearParams) -> Tensor:

@@ -2,10 +2,11 @@
 
 The baseline is a forward-only 50-state bidirectional LSTM with two linear
 position heads; its token loop is inherently sequential per direction, so
-adding workers cannot help it. The cascade side is the plain numpy
-inference pass, which fans span and sentence chunks out over a thread
-pool. Timings use medians over repetitions with a discarded warmup run;
-multiply-accumulate counts are deterministic and independent of workers.
+no amount of parallel hardware can help it. The cascade side is
+``score_example``, whose span and sentence stages are batched matrix work
+that BLAS threads spread over the cores. Timings use medians over
+repetitions with a discarded warmup run; multiply-accumulate counts are
+deterministic.
 """
 
 from __future__ import annotations
@@ -170,7 +171,6 @@ def bench_vocabulary():
 @dataclass
 class BenchRow:
     n: int
-    workers: int
     cascade_ms: float
     baseline_ms: float
     speedup: float
@@ -186,10 +186,9 @@ class BenchResult:
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["n", "workers", "cascade_ms", "baseline_ms",
-                             "speedup"])
+            writer.writerow(["n", "cascade_ms", "baseline_ms", "speedup"])
             for r in self.rows:
-                writer.writerow([r.n, r.workers, f"{r.cascade_ms:.3f}",
+                writer.writerow([r.n, f"{r.cascade_ms:.3f}",
                                  f"{r.baseline_ms:.3f}", f"{r.speedup:.3f}"])
 
 
@@ -203,24 +202,22 @@ def _median_time(fn, reps: int) -> float:
     return float(np.median(times))
 
 
-def run_benchmark(lengths, workers: int = 4, reps: int = 5,
+def run_benchmark(lengths, reps: int = 5,
                   embed_dim: int = 16, hidden_width: int = 32,
                   state_size: int = BASELINE_STATE_SIZE,
                   seed: int = 0, log=None) -> BenchResult:
     """Median wall times and speedup ratios over synthetic documents.
 
-    ``lengths`` must be sorted ascending. The cascade runs the threaded
-    inference pass; the baseline runs its sequential token loop. Speedup
-    is baseline time / cascade time; absolute ratios depend on hardware
-    and are reported, not asserted.
+    ``lengths`` must be sorted ascending. The cascade runs the inference
+    pass; the baseline runs its sequential token loop. Speedup is baseline
+    time / cascade time; absolute ratios depend on hardware and are
+    reported, not asserted.
     """
     lengths = [int(n) for n in lengths]
     if not lengths:
         raise UsageError("no document lengths given")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise UsageError("lengths must be sorted strictly ascending")
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
     if reps < 1:
         raise UsageError(f"reps must be >= 1, got {reps}")
     arch = Architecture(embed_dim=embed_dim, hidden_width=hidden_width)
@@ -233,15 +230,13 @@ def run_benchmark(lengths, workers: int = 4, reps: int = 5,
         cands = build_candidates(example, arch.span_limit)
         enc = encode_example(example, cands, table, arch)
         stats = ForwardStats()
-        score_example(params, enc, workers=1, stats=stats)  # count MACs once
-        cascade_s = _median_time(
-            lambda: score_example(params, enc, workers=workers), reps)
+        score_example(params, enc, stats=stats)  # count MACs once
+        cascade_s = _median_time(lambda: score_example(params, enc), reps)
         X = enc.doc_embed
         baseline_s = _median_time(
             lambda: baseline_position_scores(X, baseline), reps)
         row = BenchRow(
             n=n,
-            workers=workers,
             cascade_ms=cascade_s * 1000.0,
             baseline_ms=baseline_s * 1000.0,
             speedup=baseline_s / cascade_s,
@@ -250,7 +245,7 @@ def run_benchmark(lengths, workers: int = 4, reps: int = 5,
         )
         result.rows.append(row)
         if log is not None:
-            log(f"n={row.n} workers={row.workers} "
+            log(f"n={row.n} "
                 f"cascade={row.cascade_ms:.1f}ms baseline={row.baseline_ms:.1f}ms "
                 f"speedup={row.speedup:.2f}x")
     return result

@@ -92,8 +92,6 @@ def _resolve_train_config(args):
         mapping["epochs"] = str(args.epochs)
     if args.seed is not None:
         mapping["seed"] = str(args.seed)
-    if args.workers is not None:
-        pass  # workers are a runtime knob, not part of the model config
     ablation = args.ablation or mapping.pop("ablation", None)
     base = ablation_config(ablation) if ablation else TrainConfig()
     flat = base.as_flat_dict()
@@ -133,9 +131,9 @@ def cmd_eval(args) -> int:
     base_config = TrainConfig()
     _echo_config({
         "checkpoint": args.checkpoint, "data": args.data, "topk": args.topk,
-        "truncate": args.truncate, "workers": args.workers, "mode": args.mode,
+        "truncate": args.truncate, "mode": args.mode,
     })
-    scorer = make_scorer(params, table, workers=args.workers)
+    scorer = make_scorer(params, table)
     os.makedirs(args.out, exist_ok=True)
     if len(limits) > 1:
         # truncation sweep: (limit, EM, oracle EM) per row
@@ -187,9 +185,9 @@ def cmd_predict(args) -> int:
     example = QAExample("predict", question, [doc], [])
     _echo_config({
         "checkpoint": args.checkpoint, "document": args.document,
-        "truncate": args.truncate, "workers": args.workers,
+        "truncate": args.truncate,
     })
-    scored = make_scorer(params, table, workers=args.workers)(example)
+    scored = make_scorer(params, table)(example)
     if not scored.candidates:
         print("unanswerable: no candidate spans after truncation")
         return EXIT_UNANSWERABLE
@@ -203,11 +201,11 @@ def cmd_predict(args) -> int:
 def cmd_bench(args) -> int:
     lengths = [int(x) for x in args.lengths.split(",")]
     _echo_config({
-        "lengths": args.lengths, "workers": args.workers, "reps": args.reps,
+        "lengths": args.lengths, "reps": args.reps,
         "embed_dim": args.dim, "hidden_width": args.hidden, "seed": args.seed,
     })
     result = bench_mod.run_benchmark(
-        lengths, workers=args.workers, reps=args.reps, embed_dim=args.dim,
+        lengths, reps=args.reps, embed_dim=args.dim,
         hidden_width=args.hidden, seed=args.seed, log=lambda m: print(m))
     result.write_csv(args.out)
     print(f"benchmark written to {args.out}")
@@ -266,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablation", help="named ablation configuration")
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a JSONL corpus")
@@ -279,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncate", default="6000",
                    help="token cap, or comma list for a sweep")
     p.add_argument("--mode", choices=("wiki", "web"), default="wiki")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="answer one question over one document")
@@ -289,12 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--question", required=True)
     p.add_argument("--document", required=True, help="plain-text file")
     p.add_argument("--truncate", type=int, default=6000)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("bench", help="cascade vs biLSTM throughput")
     p.add_argument("--lengths", default="200,1000,3000,10000")
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--hidden", type=int, default=32)

@@ -9,9 +9,10 @@ level-1 hidden states. Level 3 passes each mention's level-2 hidden state
 through a transform, sums the results over all mentions of the same unique
 candidate, and produces the score used for prediction.
 
-Two forward implementations are provided and cross-checked by tests: a
-tape-recorded pass used for training, and a plain numpy inference pass
-that can fan out over worker threads for long documents.
+One forward pass, ``forward_cascade``, serves both uses: training runs it
+on a recording tape, inference (``score_example``) on a non-recording one.
+Span stages run over row chunks of bounded size, which bounds the working
+set of inference on long documents.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -217,20 +217,30 @@ class CascadeParams:
 
     @classmethod
     def from_arrays(cls, arch: Architecture, seed: int, arrays: dict) -> "CascadeParams":
-        """Rebuild from a {name: array} mapping (checkpoint load)."""
+        """Rebuild from a {name: array} mapping (checkpoint load).
+
+        Every tensor must be present with the shape the architecture
+        implies; the arrays are used as given, not copied.
+        """
+        w = arch.hidden_width
         p = cls(arch=arch, seed=int(seed))
-        for name in cls._submodel_dims(arch):
+        for name, in_dim in cls._submodel_dims(arch).items():
             if name.startswith("ffnn"):
-                keys = [f"{name}.V", f"{name}.a", f"{name}.U", f"{name}.b"]
+                kind = FfnnParams
+                shapes = {"V": (w, in_dim), "a": (w,), "U": (w, w), "b": (w,)}
             else:
-                keys = [f"{name}.w", f"{name}.z"]
-            for key in keys:
+                kind, shapes = LinearParams, {"w": (in_dim,), "z": ()}
+            values = []
+            for part, shape in shapes.items():
+                key = f"{name}.{part}"
                 if key not in arrays:
                     raise CheckpointError(f"missing tensor {key!r}")
-            if name.startswith("ffnn"):
-                setattr(p, name, FfnnParams(*(arrays[k] for k in keys)))
-            else:
-                setattr(p, name, LinearParams(*(arrays[k] for k in keys)))
+                if np.shape(arrays[key]) != shape:
+                    raise CheckpointError(
+                        f"tensor {key!r} has shape {np.shape(arrays[key])}, "
+                        f"the architecture needs {shape}")
+                values.append(arrays[key])
+            setattr(p, name, kind(*values))
         return p
 
 
@@ -393,39 +403,17 @@ def question_vector(tape: Tape, q_embed, bound: CascadeParams,
     return ad.matmul(weights, q)
 
 
-def level1_question_span(tape: Tape, s_tilde, q_tilde: Tensor, gamma_col,
-                         bound: CascadeParams,
-                         drop: DropoutState | None = None):
-    """Question+span submodel: hidden states and scores for all spans."""
-    s_tilde = s_tilde if isinstance(s_tilde, Tensor) else tape.constant(s_tilde)
-    gamma_col = gamma_col if isinstance(gamma_col, Tensor) else tape.constant(gamma_col)
-    n = s_tilde.value.shape[0]
-    x = ad.hstack([s_tilde, ad.tile_rows(q_tilde, n), gamma_col])
-    h = ffnn(x, bound.ffnn_qs, drop)
-    return h, linear(h, bound.linear_qs)
+def level1(columns: list, net: FfnnParams, head: LinearParams,
+           drop: DropoutState | None = None):
+    """One level-1 submodel over column blocks of span features.
 
-
-def level1_span_context(tape: Tape, s_avg, ctx_left, ctx_right, gamma_col,
-                        bound: CascadeParams,
-                        drop: DropoutState | None = None):
-    """Span+context submodel: hidden states and scores for all spans."""
-    to_t = lambda x: x if isinstance(x, Tensor) else tape.constant(x)
-    x = ad.hstack([to_t(s_avg), to_t(ctx_left), to_t(ctx_right), to_t(gamma_col)])
-    h = ffnn(x, bound.ffnn_c, drop)
-    return h, linear(h, bound.linear_c)
-
-
-def combined_level1(tape: Tape, s_tilde, q_tilde: Tensor, ctx_left, ctx_right,
-                    gamma_col, bound: CascadeParams,
-                    drop: DropoutState | None = None):
-    """Single-net variant merging the two level-1 submodels."""
-    to_t = lambda x: x if isinstance(x, Tensor) else tape.constant(x)
-    s_tilde = to_t(s_tilde)
-    n = s_tilde.value.shape[0]
-    x = ad.hstack([s_tilde, ad.tile_rows(q_tilde, n), to_t(ctx_left),
-                   to_t(ctx_right), to_t(gamma_col)])
-    h = ffnn(x, bound.ffnn_comb, drop)
-    return h, linear(h, bound.linear_comb)
+    Question+span reads [s_tilde, q_tilde, gamma], span+context reads
+    [s_avg, left, right, gamma], and the combined variant reads
+    [s_tilde, q_tilde, left, right, gamma]. Returns hidden states and
+    scores for every row.
+    """
+    h = ffnn(ad.hstack(columns), net, drop)
+    return h, linear(h, head)
 
 
 def sentence_attention(tape: Tape, q_embed, sent_embed, bound: CascadeParams,
@@ -471,77 +459,115 @@ def level2(tape: Tape, hidden_states: list, q_bar_rows: Tensor,
     return h, linear(h, bound.linear_l2)
 
 
-def level3_aggregate(tape: Tape, h_spans: Tensor, gamma_col, span_unique,
-                     n_unique: int, bound: CascadeParams,
-                     drop: DropoutState | None = None):
-    """Sum transformed mention vectors per unique candidate, then score.
+def level3_aggregate(tape: Tape, mentions: Tensor, span_unique, n_unique: int,
+                     bound: CascadeParams, drop: DropoutState | None = None):
+    """Sum mention vectors per unique candidate, then score each candidate.
 
-    Mention contributions are summed in span-index order, so permuting
-    the mention list of a candidate cannot change its score; duplicating
-    a mention does (sum, not mean, semantics).
+    ``mentions`` holds one row per span: the aggregation net applied to the
+    span's level-2 hidden state and flag. Rows are summed in span-index
+    order, so permuting the mention list of a candidate cannot change its
+    score; duplicating a mention does (sum, not mean, semantics).
     """
     if n_unique < 1:
         raise ContractError("aggregation needs at least one unique candidate")
-    gamma_col = gamma_col if isinstance(gamma_col, Tensor) else tape.constant(gamma_col)
-    per_mention = ffnn(ad.hstack([h_spans, gamma_col]), bound.ffnn_agg, drop)
-    summed = ad.segment_sum(per_mention, span_unique, n_unique)
+    summed = ad.segment_sum(mentions, span_unique, n_unique)
     h = ffnn(summed, bound.ffnn_l3, drop)
     return h, linear(h, bound.linear_l3)
+
+
+def sentence_summaries(tape: Tape, q_const: Tensor, enc: EncodedExample,
+                       bound: CascadeParams, drop: DropoutState | None = None,
+                       stats: ForwardStats | None = None):
+    """Attend/compare once per sentence; (n_sentences, w) q_bar and g_bar rows."""
+    q_projected = ffnn(q_const, bound.ffnn_att1, drop)
+    q_bars, g_bars = [], []
+    for s, e in enc.sentence_ranges:
+        q_bar, g_bar = sentence_attention(
+            tape, q_const, tape.constant(enc.doc_embed[s:e]), bound, drop,
+            stats, q_projected)
+        q_bars.append(q_bar)
+        g_bars.append(g_bar)
+    return ad.stack_rows(q_bars), ad.stack_rows(g_bars)
+
+
+# Rows per span-stage chunk. Smaller chunks stay in cache (at e=w=100,
+# 2048 rows scored ~10% faster than 8192); a training example with at most
+# this many spans runs as one chunk, drawing dropout masks level by level.
+_MAX_CHUNK_ROWS = 2048
+
+
+def _chunk_ranges(n: int) -> list:
+    """Near-equal [lo, hi) row ranges of at most _MAX_CHUNK_ROWS rows each."""
+    pieces = -(-n // _MAX_CHUNK_ROWS)
+    step = -(-n // pieces)
+    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
 
 
 def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
                     drop: DropoutState | None = None,
                     stats: ForwardStats | None = None) -> CascadeScores:
-    """Run every active level over an encoded example on the tape."""
+    """Run every active level over an encoded example on the tape.
+
+    The span stages (level 1, level 2 and level 3's mention transform) run
+    over row chunks whose results are joined in order, so level 3 sums the
+    same rows in the same order whatever the chunking. Sentence attention
+    runs once, after level 1 of the first chunk, so a one-chunk pass draws
+    dropout masks level by level.
+    """
     arch = bound.arch
     S = enc.n_spans
     if S == 0:
         raise EmptyCandidateError("example has no candidate spans")
     macs_before = tape.stats.macs
-    gamma_col = tape.constant(enc.gamma[:, None])
-    s_avg = tape.constant(enc.span_avg)
-    s_tilde = tape.constant(span_embeddings(enc.span_avg, enc.gamma))
-
-    q_const = None
-    q_tilde = None
+    q_const = q_tilde = None
     if arch.needs_question_nets or arch.use_level2:
         q_const = tape.constant(enc.question)
     if arch.needs_question_nets:
         q_tilde = question_vector(tape, q_const, bound, drop, stats)
 
-    scores = CascadeScores()
-    hidden_states = []
-    if arch.m1_active:
-        h1, scores.phi1 = level1_question_span(
-            tape, s_tilde, q_tilde, gamma_col, bound, drop)
-        hidden_states.append(h1)
-    if arch.m2_active:
-        h2, scores.phi2 = level1_span_context(
-            tape, s_avg, tape.constant(enc.ctx_left),
-            tape.constant(enc.ctx_right), gamma_col, bound, drop)
-        hidden_states.append(h2)
-    if arch.combined_level1:
-        hc, scores.phi_comb = combined_level1(
-            tape, s_tilde, q_tilde, tape.constant(enc.ctx_left),
-            tape.constant(enc.ctx_right), gamma_col, bound, drop)
-        hidden_states.append(hc)
-
-    if arch.use_level2:
-        q_projected = ffnn(q_const, bound.ffnn_att1, drop)
-        q_bars, g_bars = [], []
-        for s, e in enc.sentence_ranges:
-            sent = tape.constant(enc.doc_embed[s:e])
-            q_bar, g_bar = sentence_attention(
-                tape, q_const, sent, bound, drop, stats, q_projected)
-            q_bars.append(q_bar)
-            g_bars.append(g_bar)
-        q_bar_rows = ad.gather_rows(ad.stack_rows(q_bars), enc.span_sentence)
-        g_bar_rows = ad.gather_rows(ad.stack_rows(g_bars), enc.span_sentence)
-        h3, scores.phi3 = level2(
-            tape, hidden_states, q_bar_rows, g_bar_rows, gamma_col, bound, drop)
+    parts = {"phi1": [], "phi2": [], "phi_comb": [], "phi3": [], "mentions": []}
+    bars = None
+    for lo, hi in _chunk_ranges(S):
+        gamma_col = tape.constant(enc.gamma[lo:hi, None])
+        s_avg = enc.span_avg[lo:hi]
+        ctx = [tape.constant(enc.ctx_left[lo:hi]),
+               tape.constant(enc.ctx_right[lo:hi])]
+        if q_tilde is not None:
+            s_q = [tape.constant(span_embeddings(s_avg, enc.gamma[lo:hi])),
+                   ad.tile_rows(q_tilde, hi - lo)]
+        submodels = []
+        if arch.m1_active:
+            submodels.append(("phi1", s_q, bound.ffnn_qs, bound.linear_qs))
+        if arch.m2_active:
+            submodels.append(("phi2", [tape.constant(s_avg)] + ctx,
+                              bound.ffnn_c, bound.linear_c))
+        if arch.combined_level1:
+            submodels.append(("phi_comb", s_q + ctx, bound.ffnn_comb,
+                              bound.linear_comb))
+        hidden_states = []
+        for level, columns, net, head in submodels:
+            h, phi = level1(columns + [gamma_col], net, head, drop)
+            hidden_states.append(h)
+            parts[level].append(phi)
+        if not arch.use_level2:
+            continue
+        if bars is None:
+            bars = sentence_summaries(tape, q_const, enc, bound, drop, stats)
+        rows = enc.span_sentence[lo:hi]
+        h3, phi = level2(tape, hidden_states, ad.gather_rows(bars[0], rows),
+                         ad.gather_rows(bars[1], rows), gamma_col, bound, drop)
+        parts["phi3"].append(phi)
         if arch.use_level3:
-            _, scores.phi4 = level3_aggregate(
-                tape, h3, gamma_col, enc.span_unique, enc.n_unique, bound, drop)
+            parts["mentions"].append(
+                ffnn(ad.hstack([h3, gamma_col]), bound.ffnn_agg, drop))
+
+    joined = {level: (None if not xs else xs[0] if len(xs) == 1 else ad.concat(xs))
+              for level, xs in parts.items()}
+    mentions = joined.pop("mentions")
+    scores = CascadeScores(**joined)
+    if mentions is not None:
+        _, scores.phi4 = level3_aggregate(tape, mentions, enc.span_unique,
+                                          enc.n_unique, bound, drop)
     if stats is not None:
         stats.macs += tape.stats.macs - macs_before
     return scores
@@ -629,247 +655,30 @@ def predict(scores: CascadeScores, enc: EncodedExample) -> Prediction | None:
 
 
 # ---------------------------------------------------------------------------
-# inference forward: plain numpy, optionally fanned out over worker threads
-
-
-def _ffnn_np(x: np.ndarray, p: FfnnParams) -> np.ndarray:
-    h = np.maximum(x @ p.V.T + p.a, 0.0)
-    return np.maximum(h @ p.U.T + p.b, 0.0)
-
-
-def _linear_np(h: np.ndarray, p: LinearParams) -> np.ndarray:
-    return h @ p.w + p.z
-
-
-def _ffnn_macs(rows: int, in_dim: int, width: int) -> int:
-    return rows * in_dim * width + rows * width * width
-
-
-_MAX_CHUNK_ROWS = 8192  # bounds the working set of one span-stage chunk
-
-
-def _chunks(n: int, workers: int, cap: int | None = None) -> list:
-    if n == 0:
-        return []
-    pieces = max(1, workers)
-    if cap is not None:
-        pieces = max(pieces, -(-n // cap))
-    step = max(1, -(-n // pieces))
-    return [(i, min(n, i + step)) for i in range(0, n, step)]
-
-
-def _run_chunked(fn, n: int, pool: ThreadPoolExecutor | None, workers: int,
-                 cap: int | None = None):
-    """Apply fn to (lo, hi) ranges and return results in chunk order."""
-    ranges = _chunks(n, workers, cap)
-    if pool is None or len(ranges) <= 1:
-        return [fn(lo, hi) for lo, hi in ranges]
-    return list(pool.map(lambda r: fn(*r), ranges))
+# inference
 
 
 def score_example(params: CascadeParams, enc: EncodedExample,
                   workers: int = 1,
                   stats: ForwardStats | None = None) -> CascadeScores:
-    """Inference-mode scores (no dropout, no tape).
+    """Inference-mode scores: ``forward_cascade`` on a non-recording tape.
 
-    ``workers`` > 1 fans span rows and sentences out over a thread pool;
-    parameters are shared read-only and chunk results merge in fixed
-    order. Multiply-accumulate counts in ``stats`` are independent of the
-    worker count.
+    No dropout and no recorded nodes; BLAS threads are the only
+    parallelism, so ``workers`` accepts 1 alone. Raises ContractError on a
+    non-finite score.
     """
-    if workers < 1:
-        raise ContractError(f"workers must be >= 1, got {workers}")
-    arch = params.arch
-    S = enc.n_spans
-    if S == 0:
-        raise EmptyCandidateError("example has no candidate spans")
-    if stats is None:
-        stats = ForwardStats()
-    w = arch.hidden_width
-    e = arch.embed_dim
-    m = enc.question.shape[0]
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        gamma_col = enc.gamma[:, None]
-        scores = CascadeScores()
-        q_tilde = None
-        if arch.needs_question_nets:
-            hq = _ffnn_np(enc.question, params.ffnn_q)
-            delta = _linear_np(hq, params.linear_q)
-            stats.macs += _ffnn_macs(m, e, w) + m * w
-            shifted = np.exp(delta - delta.max())
-            weights = shifted / shifted.sum()
-            stats.record_probs(weights)
-            q_tilde = weights @ enc.question
-            stats.macs += m * e
-
-        def span_stage(build_chunk, net, head):
-            # concatenate features chunk by chunk: keeps the working set
-            # small and lets chunks run on worker threads
-            def run(lo, hi):
-                h = _ffnn_np(build_chunk(lo, hi), net)
-                return h, (None if head is None else _linear_np(h, head))
-
-            parts = _run_chunked(run, S, pool, workers, cap=_MAX_CHUNK_ROWS)
-            hidden = np.concatenate([p[0] for p in parts])
-            phi = (None if head is None
-                   else np.concatenate([p[1] for p in parts]))
-            return hidden, phi
-
-        hidden_states = []
-        if arch.m1_active:
-            def build_m1(lo, hi):
-                return np.concatenate(
-                    [enc.span_avg[lo:hi], gamma_col[lo:hi],
-                     np.broadcast_to(q_tilde, (hi - lo, e)),
-                     gamma_col[lo:hi]], axis=1)
-
-            stats.macs += _ffnn_macs(S, 2 * e + 2, w) + S * w
-            h1, scores.phi1 = span_stage(build_m1, params.ffnn_qs,
-                                         params.linear_qs)
-            hidden_states.append(h1)
-        if arch.m2_active:
-            def build_m2(lo, hi):
-                return np.concatenate(
-                    [enc.span_avg[lo:hi], enc.ctx_left[lo:hi],
-                     enc.ctx_right[lo:hi], gamma_col[lo:hi]], axis=1)
-
-            stats.macs += _ffnn_macs(S, 3 * e + 1, w) + S * w
-            h2, scores.phi2 = span_stage(build_m2, params.ffnn_c,
-                                         params.linear_c)
-            hidden_states.append(h2)
-        if arch.combined_level1:
-            def build_comb(lo, hi):
-                return np.concatenate(
-                    [enc.span_avg[lo:hi], gamma_col[lo:hi],
-                     np.broadcast_to(q_tilde, (hi - lo, e)),
-                     enc.ctx_left[lo:hi], enc.ctx_right[lo:hi],
-                     gamma_col[lo:hi]], axis=1)
-
-            stats.macs += _ffnn_macs(S, 4 * e + 2, w) + S * w
-            hc, scores.phi_comb = span_stage(build_comb, params.ffnn_comb,
-                                             params.linear_comb)
-            hidden_states.append(hc)
-
-        if arch.use_level2:
-            q_proj = _ffnn_np(enc.question, params.ffnn_att1)
-            stats.macs += _ffnn_macs(m, e, w)
-            n_sent = len(enc.sentence_ranges)
-            for s, t in enc.sentence_ranges:
-                G = t - s
-                stats.macs += (_ffnn_macs(G, e, w) + m * w * G + m * G * e
-                               + G * m * e + _ffnn_macs(m, 2 * e, w)
-                               + _ffnn_macs(G, 2 * e, w))
-            stats.attention_calls += n_sent
-            q_bar = np.zeros((n_sent, w))
-            g_bar = np.zeros((n_sent, w))
-            if stats.collect_distributions:
-                # audit mode: per-sentence loop so every alignment row and
-                # column can be recorded individually
-                for k, (s, t) in enumerate(enc.sentence_ranges):
-                    sent = enc.doc_embed[s:t]
-                    g_proj = _ffnn_np(sent, params.ffnn_att1)
-                    eta = q_proj @ g_proj.T
-                    sq = np.exp(eta - eta.max(axis=1, keepdims=True))
-                    align_q = sq / sq.sum(axis=1, keepdims=True)
-                    sg = np.exp(eta - eta.max(axis=0, keepdims=True))
-                    align_g = sg / sg.sum(axis=0, keepdims=True)
-                    stats.probability_vectors.extend(np.array(r) for r in align_q)
-                    stats.probability_vectors.extend(np.array(c) for c in align_g.T)
-                    q_att = align_q @ sent
-                    g_att = align_g.T @ enc.question
-                    qh = _ffnn_np(np.concatenate([enc.question, q_att], axis=1),
-                                  params.ffnn_att2)
-                    gh = _ffnn_np(np.concatenate([sent, g_att], axis=1),
-                                  params.ffnn_att2)
-                    q_bar[k] = qh.sum(axis=0)
-                    g_bar[k] = gh.sum(axis=0)
-            else:
-                # group sentences by length so each group runs as batched
-                # matrix work; one attend/compare per sentence either way
-                groups: dict[int, list[int]] = {}
-                for k, (s, t) in enumerate(enc.sentence_ranges):
-                    groups.setdefault(t - s, []).append(k)
-                question = enc.question
-                for G, idxs in sorted(groups.items()):
-                    stacked = np.stack(
-                        [enc.doc_embed[s:t] for s, t in
-                         (enc.sentence_ranges[k] for k in idxs)])
-
-                    def run_group(lo, hi, stacked=stacked, G=G):
-                        S = stacked[lo:hi]
-                        B = hi - lo
-                        gp = _ffnn_np(S.reshape(B * G, e),
-                                      params.ffnn_att1).reshape(B, G, w)
-                        eta_t = gp @ q_proj.T               # (B, G, m)
-                        sq = np.exp(eta_t - eta_t.max(axis=1, keepdims=True))
-                        align_q_t = sq / sq.sum(axis=1, keepdims=True)
-                        sg = np.exp(eta_t - eta_t.max(axis=2, keepdims=True))
-                        align_g_t = sg / sg.sum(axis=2, keepdims=True)
-                        q_att = np.matmul(align_q_t.transpose(0, 2, 1), S)
-                        g_att = np.matmul(align_g_t, question)
-                        q_in = np.concatenate(
-                            [np.broadcast_to(question, (B, m, e)), q_att],
-                            axis=2)
-                        qh = _ffnn_np(q_in.reshape(B * m, 2 * e),
-                                      params.ffnn_att2).reshape(B, m, w)
-                        g_in = np.concatenate([S, g_att], axis=2)
-                        gh = _ffnn_np(g_in.reshape(B * G, 2 * e),
-                                      params.ffnn_att2).reshape(B, G, w)
-                        return qh.sum(axis=1), gh.sum(axis=1)
-
-                    parts = _run_chunked(run_group, len(idxs), pool, workers)
-                    qb = np.concatenate([p[0] for p in parts])
-                    gb = np.concatenate([p[1] for p in parts])
-                    q_bar[idxs] = qb
-                    g_bar[idxs] = gb
-
-            def build_l2(lo, hi):
-                return np.concatenate(
-                    [h[lo:hi] for h in hidden_states]
-                    + [q_bar[enc.span_sentence[lo:hi]],
-                       g_bar[enc.span_sentence[lo:hi]], gamma_col[lo:hi]],
-                    axis=1)
-
-            stats.macs += _ffnn_macs(S, arch.level2_in_dim, w) + S * w
-            h3, scores.phi3 = span_stage(build_l2, params.ffnn_l2,
-                                         params.linear_l2)
-
-            if arch.use_level3:
-                stats.macs += _ffnn_macs(S, w + 1, w)
-
-                def run_agg(lo, hi):
-                    za = _ffnn_np(
-                        np.concatenate([h3[lo:hi], gamma_col[lo:hi]], axis=1),
-                        params.ffnn_agg)
-                    part = np.zeros((enc.n_unique, w))
-                    np.add.at(part, enc.span_unique[lo:hi], za)
-                    return part
-
-                parts = _run_chunked(run_agg, S, pool, workers,
-                                     cap=_MAX_CHUNK_ROWS)
-                summed = parts[0]
-                for p in parts[1:]:
-                    summed = summed + p
-                hu = _ffnn_np(summed, params.ffnn_l3)
-                scores.phi4 = _linear_np(hu, params.linear_l3)
-                stats.macs += _ffnn_macs(enc.n_unique, w, w) + enc.n_unique * w
-        for phi in (scores.phi1, scores.phi2, scores.phi_comb, scores.phi3,
-                    scores.phi4):
-            if phi is not None and not np.all(np.isfinite(phi)):
-                raise ContractError("non-finite score at inference")
-        return scores
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    if workers != 1:
+        raise ContractError(f"workers must be 1, got {workers}")
+    tape = Tape(record=False)
+    scores = forward_cascade(tape, params.bind(tape), enc, stats=stats).values()
+    for phi in (scores.phi1, scores.phi2, scores.phi_comb, scores.phi3,
+                scores.phi4):
+        if phi is not None and not np.all(np.isfinite(phi)):
+            raise ContractError("non-finite score at inference")
+    return scores
 
 
-# ---------------------------------------------------------------------------
-# scorer plumbing for evaluation
-
-
-def make_scorer(params: CascadeParams, table: EmbeddingTable,
-                workers: int = 1):
+def make_scorer(params: CascadeParams, table: EmbeddingTable):
     """Wrap params+table into the callable the evaluator consumes."""
     arch = params.arch
 
@@ -879,7 +688,7 @@ def make_scorer(params: CascadeParams, table: EmbeddingTable,
             return ScoredExample(example.example_id, list(example.answers),
                                  [], np.zeros(0), np.zeros(0, dtype=np.intp))
         enc = encode_example(example, cands, table, arch)
-        scores = score_example(params, enc, workers=workers)
+        scores = score_example(params, enc)
         return ScoredExample(
             example.example_id,
             list(example.answers),
@@ -937,20 +746,28 @@ def load_checkpoint(path) -> CascadeParams:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt header: {exc}") from None
-        if header.get("format_version") != 1:
+        version = header.get("format_version") if isinstance(header, dict) else None
+        if version != 1:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        try:
+            arch = Architecture(**header["arch"])
+            seed = int(header["seed"])
+            specs = [(spec["name"], tuple(int(d) for d in spec["shape"]))
+                     for spec in header["tensors"]]
+        except (KeyError, TypeError, ValueError, ContractError) as exc:
             raise CheckpointError(
-                f"{path}: unsupported format version {header.get('format_version')}"
-            )
-        arch = Architecture(**header["arch"])
+                f"{path}: bad header ({type(exc).__name__}: {exc})") from None
         arrays = {}
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
+        for name, shape in specs:
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
-                raise CheckpointError(f"{path}: truncated tensor {spec['name']!r}")
-            arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                raise CheckpointError(f"{path}: truncated tensor {name!r}")
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         trailing = fh.read(1)
         if trailing:
             raise CheckpointError(f"{path}: trailing bytes after tensors")
-    return CascadeParams.from_arrays(arch, int(header["seed"]), arrays)
+    try:
+        return CascadeParams.from_arrays(arch, seed, arrays)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None

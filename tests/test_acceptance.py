@@ -184,7 +184,7 @@ def test_attention_computations_equal_sentence_count():
     model.forward_cascade(tape, params.bind(tape), enc, stats=stats)
     assert stats.attention_calls == 1000
     np_stats = model.ForwardStats()
-    model.score_example(params, enc, workers=2, stats=np_stats)
+    model.score_example(params, enc, stats=np_stats)
     assert np_stats.attention_calls == 1000
     _status("attention-count invariant",
             f"1000 sentences, {enc.n_spans} spans, exactly 1000 attention "
@@ -296,7 +296,7 @@ def test_metric_hand_cases_and_topk_monotonicity():
 
 
 def test_throughput_trend_and_mac_linearity():
-    result = run_benchmark([200, 5000, 10000], workers=4, reps=5,
+    result = run_benchmark([200, 5000, 10000], reps=5,
                            embed_dim=16, hidden_width=32, seed=0)
     by_n = {r.n: r for r in result.rows}
     small, half, big = by_n[200], by_n[5000], by_n[10000]

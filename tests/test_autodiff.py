@@ -152,17 +152,12 @@ def test_softmax_empty_raises():
 
 def test_aggregate_ops():
     tape = ad.Tape()
-    xs = [tape.constant([1.0, 1.0]), tape.constant([3.0, 3.0])]
-    np.testing.assert_array_equal(ad.mean(xs).value, [2.0, 2.0])
-    np.testing.assert_array_equal(ad.sum_tensors(xs).value, [4.0, 4.0])
-    wm = ad.weighted_mean(xs, tape.constant([0.0, 0.0]))
-    np.testing.assert_allclose(wm.value, ad.mean(xs).value, rtol=1e-15)
     cc = ad.concat([tape.constant([1.0]), tape.constant([2.0, 3.0])])
     np.testing.assert_array_equal(cc.value, [1.0, 2.0, 3.0])
-    with pytest.raises(EmptyCandidateError):
-        ad.mean([])
-    with pytest.raises(EmptyCandidateError):
-        ad.weighted_mean([], tape.constant(np.zeros(0)))
+    rows = ad.concat([tape.constant(np.ones((1, 2))), tape.constant(np.zeros((2, 2)))])
+    np.testing.assert_array_equal(rows.value, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(DimensionError):
+        ad.concat([tape.constant(np.ones((1, 2))), tape.constant(np.ones((1, 3)))])
 
 
 def test_backward_linear_grads():
@@ -279,6 +274,82 @@ def test_gradients_full_ffnn_linear(seed):
         build,
         {"V": (4, 3), "a": (4,), "U": (4, 4), "b": (4,), "w": (4,), "z": ()},
         seed)
+
+
+def _ffnn_arrays(in_dim, width, rng):
+    return {"V": rng.uniform(-1, 1, (width, in_dim)),
+            "a": rng.uniform(-1, 1, width),
+            "U": rng.uniform(-1, 1, (width, width)),
+            "b": rng.uniform(-1, 1, width)}
+
+
+@pytest.mark.parametrize("x_shape", [(3,), (5, 3)])
+def test_gradients_fused_ffnn_with_dropout(x_shape):
+    rng = np.random.default_rng(7)
+    arrays = {"x": rng.uniform(-2, 2, x_shape), **_ffnn_arrays(3, 6, rng)}
+
+    def loss_fn(params):
+        # a fresh generator per call: every evaluation draws the same masks
+        tape = ad.Tape()
+        leaves = {k: tape.variable(v, k) for k, v in params.items()}
+        net = ad.FfnnParams(leaves["V"], leaves["a"], leaves["U"], leaves["b"])
+        drop = ad.DropoutState(0.3, np.random.default_rng(11), training=True)
+        out = ad.ffnn(leaves["x"], net, drop)
+        return ad.logsumexp(out if out.ndim == 1 else ad.sum_rows(out))
+
+    res = ad.finite_difference_check(loss_fn, arrays)
+    assert res.max_rel_error < 1e-4, res
+
+
+@pytest.mark.parametrize("x_shape", [(3,), (5, 3)])
+def test_fused_ffnn_equals_unfused_chain_bitwise(x_shape):
+    """Same values, gradients, MACs and dropout draws as the op-by-op net."""
+    rng = np.random.default_rng(8)
+    arrays = {"x": rng.uniform(-2, 2, x_shape), **_ffnn_arrays(3, 6, rng)}
+
+    def run(fused):
+        tape = ad.Tape()
+        p = {k: tape.variable(v, k) for k, v in arrays.items()}
+        drop = ad.DropoutState(0.3, np.random.default_rng(11), training=True)
+        if fused:
+            net = ad.FfnnParams(p["V"], p["a"], p["U"], p["b"])
+            out = ad.ffnn(p["x"], net, drop)
+        elif len(x_shape) == 1:
+            h = ad.dropout(ad.relu(ad.add(ad.matmul(p["V"], p["x"]), p["a"])), drop)
+            out = ad.dropout(ad.relu(ad.add(ad.matmul(p["U"], h), p["b"])), drop)
+        else:
+            h = ad.dropout(ad.relu(ad.add(
+                ad.matmul(p["x"], ad.transpose(p["V"])), p["a"])), drop)
+            out = ad.dropout(ad.relu(ad.add(
+                ad.matmul(h, ad.transpose(p["U"])), p["b"])), drop)
+        root = ad.logsumexp(out if out.ndim == 1 else ad.sum_rows(out))
+        return out.value, tape.backward(root), tape.stats.macs, len(tape)
+
+    fused, chain = run(True), run(False)
+    assert fused[0].tobytes() == chain[0].tobytes()
+    for name in arrays:
+        assert fused[1][name].tobytes() == chain[1][name].tobytes(), name
+    assert fused[2] == chain[2]
+    assert fused[3] < chain[3]
+
+
+def test_non_recording_tape_keeps_nothing_and_refuses_backward():
+    tape = ad.Tape(record=False)
+    x = tape.variable(np.array([1.0, 2.0]), "x")
+    out = ad.logsumexp(ad.scale(x, 2.0))
+    assert len(tape) == 0
+    with pytest.raises(ContractError):
+        tape.backward(out)
+
+
+def test_segment_sum_matches_sequential_add_at_bitwise():
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(300, 7)) * 10.0 ** rng.integers(-8, 8, (300, 1))
+    ids = rng.integers(0, 20, 300)
+    expect = np.zeros((23, 7))
+    np.add.at(expect, ids, rows)
+    got = ad.segment_sum(ad.Tape().constant(rows), ids, 23).value
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_quadratic_fd_is_tight():

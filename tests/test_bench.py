@@ -79,17 +79,15 @@ def test_synthetic_example_token_count_and_sentences():
 
 def test_run_benchmark_validation():
     with pytest.raises(UsageError):
-        run_benchmark([], workers=1, reps=1)
+        run_benchmark([], reps=1)
     with pytest.raises(UsageError):
-        run_benchmark([200, 100], workers=1, reps=1)
+        run_benchmark([200, 100], reps=1)
     with pytest.raises(UsageError):
-        run_benchmark([100], workers=0, reps=1)
-    with pytest.raises(UsageError):
-        run_benchmark([100], workers=1, reps=0)
+        run_benchmark([100], reps=0)
 
 
 def test_run_benchmark_small_and_csv(tmp_path):
-    result = run_benchmark([60, 120], workers=2, reps=2,
+    result = run_benchmark([60, 120], reps=2,
                            embed_dim=8, hidden_width=8, seed=0)
     assert [r.n for r in result.rows] == [60, 120]
     for row in result.rows:
@@ -102,14 +100,14 @@ def test_run_benchmark_small_and_csv(tmp_path):
     path = tmp_path / "bench.csv"
     result.write_csv(path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "n,workers,cascade_ms,baseline_ms,speedup"
+    assert lines[0] == "n,cascade_ms,baseline_ms,speedup"
     assert len(lines) == 3
 
 
 def test_run_benchmark_identical_counts_across_reps():
-    r1 = run_benchmark([80], workers=1, reps=1, embed_dim=8, hidden_width=8,
+    r1 = run_benchmark([80], reps=1, embed_dim=8, hidden_width=8,
                        seed=4)
-    r2 = run_benchmark([80], workers=1, reps=3, embed_dim=8, hidden_width=8,
+    r2 = run_benchmark([80], reps=3, embed_dim=8, hidden_width=8,
                        seed=4)
     assert r1.rows[0].cascade_macs == r2.rows[0].cascade_macs
     assert r1.rows[0].baseline_macs == r2.rows[0].baseline_macs

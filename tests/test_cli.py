@@ -150,6 +150,44 @@ def test_predict_answers_toy_question(tmp_path, embeddings_path, trained_dir,
     assert "answer:" in out and "score:" in out and "mentions:" in out
 
 
+def _rewrite_header(src, dst, change):
+    """Copy a checkpoint with its JSON header replaced by ``change(header)``."""
+    data = src.read_bytes()
+    magic = data.index(b"\n") + 1
+    size = int.from_bytes(data[magic:magic + 8], "little")
+    header = change(json.loads(data[magic + 8:magic + 8 + size]))
+    blob = json.dumps(header).encode("utf-8")
+    dst.write_bytes(data[:magic] + len(blob).to_bytes(8, "little") + blob
+                    + data[magic + 8 + size:])
+
+
+def _transpose_ffnn_qs_v(header):
+    spec = next(t for t in header["tensors"] if t["name"] == "ffnn_qs.V")
+    spec["shape"] = spec["shape"][::-1]
+    return header
+
+
+@pytest.mark.parametrize("change", [
+    lambda h: {**h, "arch": {**h["arch"], "not_a_field": 1}},
+    lambda h: {k: v for k, v in h.items() if k != "seed"},
+    _transpose_ffnn_qs_v,
+    lambda h: [h],
+], ids=["unknown-arch-key", "missing-seed", "transposed-tensor",
+        "header-not-an-object"])
+def test_predict_corrupt_checkpoint_header(tmp_path, embeddings_path,
+                                           trained_dir, change, capsys):
+    bad = tmp_path / "bad.ckpt"
+    _rewrite_header(trained_dir / "checkpoint.ckpt", bad, change)
+    doc = tmp_path / "doc.txt"
+    doc.write_text("boral holds the prelt .")
+    code = main(["predict", "--checkpoint", str(bad),
+                 "--embeddings", embeddings_path,
+                 "--question", "which item holds the prelt ?",
+                 "--document", str(doc)])
+    assert code == EXIT_IO
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_predict_unanswerable_empty_document(tmp_path, embeddings_path,
                                              trained_dir, capsys):
     doc = tmp_path / "empty.txt"
@@ -179,12 +217,12 @@ def test_predict_respects_truncate_flag(tmp_path, embeddings_path,
 
 def test_bench_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
-    code = main(["bench", "--lengths", "40,80", "--workers", "2",
+    code = main(["bench", "--lengths", "40,80",
                  "--reps", "1", "--dim", "8", "--hidden", "8",
                  "--out", str(out)])
     assert code == EXIT_OK
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "n,workers,cascade_ms,baseline_ms,speedup"
+    assert lines[0] == "n,cascade_ms,baseline_ms,speedup"
     assert len(lines) == 3
 
 

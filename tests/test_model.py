@@ -267,7 +267,6 @@ def test_level3_rejects_empty(toy):
     bound = params.bind(tape)
     with pytest.raises(ContractError):
         mdl.level3_aggregate(tape, tape.constant(np.zeros((1, 8))),
-                             tape.constant(np.zeros((1, 1))),
                              np.array([0]), 0, bound)
 
 
@@ -362,25 +361,51 @@ def test_prediction_scores_fallbacks(toy):
 
 
 # ---------------------------------------------------------------------------
-# inference path: parity, workers, MACs
+# inference path: recording vs non-recording forward, chunks, MACs
 
 
 def test_inference_matches_tape_path(toy):
     _, _, _, enc, params = toy
     tape_scores, tape = run_tape(params, enc)
-    np_scores = mdl.score_example(params, enc, workers=1)
+    plain = mdl.score_example(params, enc)
     vals = tape_scores.values()
-    np.testing.assert_allclose(np_scores.phi1, vals.phi1, rtol=1e-10)
-    np.testing.assert_allclose(np_scores.phi2, vals.phi2, rtol=1e-10)
-    np.testing.assert_allclose(np_scores.phi3, vals.phi3, rtol=1e-10)
-    np.testing.assert_allclose(np_scores.phi4, vals.phi4, rtol=1e-10)
+    for level in ("phi1", "phi2", "phi3", "phi4"):
+        assert getattr(plain, level).tobytes() == getattr(vals, level).tobytes()
+    assert len(tape) > 0
 
 
-def test_inference_workers_agree(toy):
+def test_chunked_forward_matches_one_chunk(toy, monkeypatch):
     _, _, _, enc, params = toy
-    one = mdl.score_example(params, enc, workers=1)
-    four = mdl.score_example(params, enc, workers=4)
-    np.testing.assert_allclose(one.phi4, four.phi4, rtol=1e-12)
+    assert enc.n_spans > 2 * 7  # several chunks of 7 rows
+    whole = mdl.score_example(params, enc)
+    stats_whole = mdl.ForwardStats()
+    run_tape(params, enc, stats=stats_whole)
+    monkeypatch.setattr(mdl, "_MAX_CHUNK_ROWS", 7)
+    stats = mdl.ForwardStats()
+    chunked, _ = run_tape(params, enc, stats=stats)
+    for level in ("phi1", "phi2", "phi3", "phi4"):
+        np.testing.assert_allclose(getattr(chunked, level).value,
+                                   getattr(whole, level), rtol=0, atol=1e-12)
+    assert stats.macs == stats_whole.macs
+    assert stats.attention_calls == len(enc.sentence_ranges)
+
+
+def test_chunked_forward_gradients(toy, monkeypatch):
+    from spancascade.training import LossWeights, multi_loss
+
+    _, _, _, enc, params = toy
+    monkeypatch.setattr(mdl, "_MAX_CHUNK_ROWS", 7)
+
+    def loss_fn(arrays):
+        tape = ad.Tape()
+        bound = mdl.CascadeParams.from_arrays(ARCH, 0, arrays).bind(tape)
+        scores = mdl.forward_cascade(tape, bound, enc)
+        return multi_loss(scores, enc.gold_spans, enc.gold_uniques,
+                          LossWeights())
+
+    arrays = {k: v.copy() for k, v in params.as_dict().items()}
+    result = ad.finite_difference_check(loss_fn, arrays)
+    assert result.max_rel_error < 1e-3, result
 
 
 def test_mac_count_matches_between_paths(toy):
@@ -388,17 +413,15 @@ def test_mac_count_matches_between_paths(toy):
     stats_t = mdl.ForwardStats()
     run_tape(params, enc, stats=stats_t)
     stats_n = mdl.ForwardStats()
-    mdl.score_example(params, enc, workers=1, stats=stats_n)
+    mdl.score_example(params, enc, stats=stats_n)
     assert stats_t.macs == stats_n.macs > 0
-    stats_w = mdl.ForwardStats()
-    mdl.score_example(params, enc, workers=3, stats=stats_w)
-    assert stats_w.macs == stats_n.macs
 
 
 def test_score_example_rejects_bad_workers(toy):
     _, _, _, enc, params = toy
-    with pytest.raises(ContractError):
-        mdl.score_example(params, enc, workers=0)
+    for workers in (0, 2):
+        with pytest.raises(ContractError):
+            mdl.score_example(params, enc, workers=workers)
 
 
 def test_inference_audit_mode_collects_probability_vectors(toy):
