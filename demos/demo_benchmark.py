@@ -2,9 +2,9 @@
 """Throughput: batched cascade scoring vs the sequential biLSTM baseline.
 
 The baseline walks the document token by token (50 states per direction),
-so its wall time grows linearly and parallel hardware cannot help it. The
-cascade scores all spans with batched matrix work, so its advantage grows
-with document length.
+so parallel hardware cannot help it. The cascade scores all spans with
+batched matrix work, so it is faster per token at every length; both costs
+are linear in the document length.
 """
 
 from spancascade.bench import run_benchmark
@@ -22,8 +22,8 @@ def main():
     result.write_csv("bench.csv")
     print("\nwrote bench.csv")
     rows = result.rows
-    print(f"speedup grew from {rows[0].speedup:.1f}x at n={rows[0].n} "
-          f"to {rows[-1].speedup:.1f}x at n={rows[-1].n}")
+    print(f"speedup {rows[0].speedup:.1f}x at n={rows[0].n}, "
+          f"{rows[-1].speedup:.1f}x at n={rows[-1].n}")
     ops0, ops1 = rows[0].cascade_macs, rows[-1].cascade_macs
     print(f"cascade multiply-accumulates: {ops0:,} -> {ops1:,} "
           f"({ops1 / ops0:.1f}x for {rows[-1].n / rows[0].n:.0f}x the tokens)")

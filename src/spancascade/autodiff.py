@@ -389,6 +389,12 @@ def sum_rows(a: Tensor) -> Tensor:
     return a.tape._push(a.value.sum(axis=0), (a.idx,), back, op="sum_rows")
 
 
+def _check_row_ids(idx: Array, n: int, op: str) -> None:
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise DimensionError(f"{op} row ids must lie in [0, {n}), got "
+                             f"{idx.min()}..{idx.max()}")
+
+
 def _scatter_add_rows(rows: Array, idx: Array, n: int) -> Array:
     """out[idx[i]] += rows[i] over i in order, from zeros: np.add.at's sums,
     computed by one bincount over flattened (row, column) slots."""
@@ -403,6 +409,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
     if a.value.ndim != 2:
         raise DimensionError(f"gather_rows expects a matrix, got {a.value.shape}")
+    _check_row_ids(idx, a.value.shape[0], "gather_rows")
 
     def back(g):
         return (_scatter_add_rows(g, idx, a.value.shape[0]),)
@@ -433,6 +440,7 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
         raise DimensionError(
             f"{a.value.shape[0]} rows but {segment_ids.shape[0]} segment ids"
         )
+    _check_row_ids(segment_ids, num_segments, "segment_sum")
     out = _scatter_add_rows(a.value, segment_ids, num_segments)
 
     def back(g):

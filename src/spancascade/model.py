@@ -490,10 +490,10 @@ def sentence_summaries(tape: Tape, q_const: Tensor, enc: EncodedExample,
     return ad.stack_rows(q_bars), ad.stack_rows(g_bars)
 
 
-# Rows per span-stage chunk. Smaller chunks stay in cache (at e=w=100,
-# 2048 rows scored ~10% faster than 8192); a training example with at most
-# this many spans runs as one chunk, drawing dropout masks level by level.
-_MAX_CHUNK_ROWS = 2048
+# Rows per span-stage chunk, which bounds the peak memory of a long
+# document; a training example with at most this many spans runs as one
+# chunk, drawing dropout masks level by level.
+_MAX_CHUNK_ROWS = 8192
 
 
 def _chunk_ranges(n: int) -> list:

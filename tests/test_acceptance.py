@@ -300,11 +300,19 @@ def test_throughput_trend_and_mac_linearity():
                            embed_dim=16, hidden_width=32, seed=0)
     by_n = {r.n: r for r in result.rows}
     small, half, big = by_n[200], by_n[5000], by_n[10000]
+    us_small = 1000.0 * small.cascade_ms / small.n
+    us_big = 1000.0 * big.cascade_ms / big.n
     _status("throughput trend",
-            f"speedup {small.speedup:.2f}x at n=200 -> {big.speedup:.2f}x "
-            f"at n=10000; cascade MACs {half.cascade_macs:,} -> "
+            f"speedup {small.speedup:.2f}x at n=200, {big.speedup:.2f}x "
+            f"at n=10000; cascade {us_small:.1f} -> {us_big:.1f} us/token; "
+            f"cascade MACs {half.cascade_macs:,} -> "
             f"{big.cascade_macs:,} for doubled n")
-    assert big.speedup > small.speedup
+    # Both programs are linear in n, so the speedup itself need not grow:
+    # the cascade must beat the sequential baseline on a long document, and
+    # its per-token cost must stay flat (within 2x, for timing noise) as the
+    # document grows 50-fold.
+    assert big.speedup > 1.0
+    assert us_big < 2.0 * us_small
     ratio = big.cascade_macs / half.cascade_macs
     assert 1.8 <= ratio <= 2.2  # doubling n doubles the work within 10%
 

@@ -352,6 +352,17 @@ def test_segment_sum_matches_sequential_add_at_bitwise():
     assert got.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("op", [
+    lambda x: ad.gather_rows(x, [0, 3]),
+    lambda x: ad.gather_rows(x, [-1]),
+    lambda x: ad.segment_sum(x, [0, 1, 3], 3),
+    lambda x: ad.segment_sum(x, [0, -1, 2], 3),
+])
+def test_row_ids_out_of_range_raise(op):
+    with pytest.raises(DimensionError):
+        op(ad.Tape().constant(np.zeros((3, 2))))
+
+
 def test_quadratic_fd_is_tight():
     def loss_fn(params):
         tape = ad.Tape()
