@@ -29,10 +29,11 @@ def main():
         [doc], ["Jackson Pollock", "Pollock", "Pollock, Jackson"])
     cands = build_candidates(example, span_limit=5)
     print(f"\n{len(cands.spans)} candidate spans, "
-          f"{len(cands.uniques)} unique candidates")
+          f"{len(cands.surfaces)} unique candidates")
+    mention_counts = np.bincount(cands.spans.unique)
     for uid in cands.gold_unique_ids:
-        u = cands.uniques[uid]
-        print(f"  gold: {u.surface!r} with {len(u.mentions)} mention(s)")
+        print(f"  gold: {cands.surfaces[uid]!r} with "
+              f"{mention_counts[uid]} mention(s)")
     print(f"normalized answer forms: "
           f"{sorted({normalize_answer(a) for a in example.answers})}")
 

@@ -19,14 +19,9 @@ from .corpus import (
     CandidateSet,
     Document,
     QAExample,
-    SpanCandidate,
-    UniqueCandidate,
+    SpanTable,
     build_candidates,
-    build_unique_map,
-    generate_spans,
     load_examples,
-    mark_gold,
-    question_in_span,
     tokenize,
     truncate,
 )

@@ -63,7 +63,7 @@ class Tensor:
     @property
     def grad(self) -> Array:
         """Accumulated gradient after backward; exact zeros if unreachable."""
-        return self.tape.grad_of(self)
+        return self.tape.grad_of(self.idx)
 
     def item(self) -> float:
         return float(self.value)
@@ -110,7 +110,7 @@ class Tape:
         self._parents: list[tuple] = []
         self._backwards: list = []
         self._needs: list[bool] = []
-        self.variables: dict[str, Tensor] = {}
+        self.variables: dict[str, int] = {}  # name -> node index
         self.grads: list[Array | None] | None = None
         self.stats = TapeStats()
 
@@ -142,7 +142,7 @@ class Tape:
         if name is not None:
             if name in self.variables:
                 raise ContractError(f"duplicate variable name {name!r}")
-            self.variables[name] = t
+            self.variables[name] = t.idx
         return t
 
     def backward(self, root: Tensor) -> dict[str, Array]:
@@ -178,15 +178,17 @@ class Tape:
                 else:
                     grads[p] = grads[p] + pg
         self.grads = grads
-        return {name: self.grad_of(t) for name, t in self.variables.items()}
+        return {name: self.grad_of(i) for name, i in self.variables.items()}
 
-    def grad_of(self, t: Tensor) -> Array:
+    def grad_of(self, idx: int) -> Array:
+        """Gradient of node ``idx``; exact zeros if the root never reached it."""
         if self.grads is None:
             raise ContractError("backward has not been run on this tape")
-        g = self.grads[t.idx]
+        g = self.grads[idx]
+        value = self._values[idx]
         if g is None:
-            return np.zeros_like(t.value)
-        return np.asarray(g, dtype=np.float64).reshape(t.value.shape)
+            return np.zeros_like(value)
+        return np.asarray(g, dtype=np.float64).reshape(value.shape)
 
 
 def _check_same_tape(*tensors):
@@ -352,7 +354,7 @@ def stack_rows(xs: list[Tensor]) -> Tensor:
             )
 
     def back(g):
-        return tuple(g[i] for i in range(len(xs)))
+        return tuple(g)  # one row per input
 
     return tape._push(
         np.stack([x.value for x in xs]), tuple(x.idx for x in xs), back, op="stack_rows"
@@ -409,10 +411,11 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
     if a.value.ndim != 2:
         raise DimensionError(f"gather_rows expects a matrix, got {a.value.shape}")
-    _check_row_ids(idx, a.value.shape[0], "gather_rows")
+    n = a.value.shape[0]
+    _check_row_ids(idx, n, "gather_rows")
 
     def back(g):
-        return (_scatter_add_rows(g, idx, a.value.shape[0]),)
+        return (_scatter_add_rows(g, idx, n),)
 
     return a.tape._push(a.value[idx], (a.idx,), back, op="gather_rows")
 
@@ -422,9 +425,10 @@ def gather(a: Tensor, idx) -> Tensor:
     idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
     if a.value.ndim != 1:
         raise DimensionError(f"gather expects a vector, got {a.value.shape}")
+    shape = a.value.shape
 
     def back(g):
-        out = np.zeros_like(a.value)
+        out = np.zeros(shape)
         np.add.at(out, idx, g)
         return (out,)
 
@@ -750,13 +754,9 @@ def finite_difference_check(loss_fn, params: dict[str, Array],
     if epsilon <= 0:
         raise ContractError(f"epsilon must be positive, got {epsilon}")
     loss = loss_fn(params)
-    tape = loss.tape
-    tape.backward(loss)
-    analytic = {
-        name: (tape.variables[name].grad if name in tape.variables
-               else np.zeros_like(arr))
-        for name, arr in params.items()
-    }
+    grads = loss.tape.backward(loss)
+    analytic = {name: grads.get(name, np.zeros_like(arr))
+                for name, arr in params.items()}
     worst = GradCheckResult(0.0, "", ())
     for name, arr in params.items():
         grad = analytic[name]

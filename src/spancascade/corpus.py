@@ -15,7 +15,9 @@ from __future__ import annotations
 import io
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ContractError, ParseError
 from .evaluation import normalize_answer
@@ -58,35 +60,6 @@ class Document:
     def __len__(self):
         return len(self.tokens)
 
-    def sentence_tokens(self, index: int) -> list:
-        s, e = self.sentences[index]
-        return self.tokens[s:e]
-
-
-@dataclass
-class SpanCandidate:
-    """One consecutive within-sentence token window [start, end)."""
-
-    doc_index: int
-    sentence_index: int
-    start: int
-    end: int
-    unique_id: int = -1
-    is_gold: bool = False
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-
-@dataclass
-class UniqueCandidate:
-    """Equivalence class of spans sharing the same lowercased token text."""
-
-    tokens: tuple
-    surface: str
-    mentions: list = field(default_factory=list)
-
 
 @dataclass
 class QAExample:
@@ -99,12 +72,37 @@ class QAExample:
 
 
 @dataclass
-class CandidateSet:
-    """All spans of an example with their unique-candidate grouping."""
+class SpanTable:
+    """Every span of an example as parallel integer arrays, one row each.
 
-    spans: list
-    uniques: list
-    gold_unique_ids: list
+    Rows are in (document, sentence, start, length) order; ``sentence``
+    and ``start`` are local to the span's document, and ``unique`` is the
+    span's unique-candidate id.
+    """
+
+    doc: np.ndarray
+    sentence: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    unique: np.ndarray
+
+    def __len__(self):
+        return len(self.start)
+
+
+@dataclass
+class CandidateSet:
+    """The spans of an example with their unique-candidate grouping.
+
+    ``surfaces`` holds each unique's text as first mentioned (original
+    case), ``gold_unique_ids`` the ascending ids of the alias-matching
+    uniques and ``gamma`` the question-in-span flag of each span.
+    """
+
+    spans: SpanTable
+    surfaces: list
+    gold_unique_ids: np.ndarray
+    gamma: np.ndarray
 
 
 def _peel(chunk: str):
@@ -177,99 +175,75 @@ def truncate(
     return Document(tokens, positions, sentences)
 
 
-def generate_spans(doc: Document, span_limit: int = DEFAULT_SPAN_LIMIT,
-                   doc_index: int = 0) -> list[SpanCandidate]:
-    """Every within-sentence window of length 1..span_limit.
-
-    Enumeration order is lexicographic in (sentence, start, length); a
-    sentence of G tokens yields sum over o of (G - o + 1) spans.
-    """
-    if span_limit < 1:
-        raise ContractError(f"span limit must be >= 1, got {span_limit}")
-    spans = []
-    for si, (s, e) in enumerate(doc.sentences):
-        for start in range(s, e):
-            for length in range(1, min(span_limit, e - start) + 1):
-                spans.append(SpanCandidate(doc_index, si, start, start + length))
-    return spans
-
-
-def build_unique_map(spans: list, doc) -> list[UniqueCandidate]:
-    """Group spans with identical lowercased token text into uniques.
-
-    Mutates each span's ``unique_id``; unique candidates appear in
-    first-mention order and their mention lists partition the span list.
-    ``doc`` may be a single Document or a sequence of them (multi-document
-    instances index spans by ``doc_index``).
-    """
-    docs = [doc] if isinstance(doc, Document) else list(doc)
-    uniques: list[UniqueCandidate] = []
-    index: dict[tuple, int] = {}
-    for i, span in enumerate(spans):
-        raw = docs[span.doc_index].tokens[span.start:span.end]
-        key = tuple(t.lower() for t in raw)
-        uid = index.get(key)
-        if uid is None:
-            uid = len(uniques)
-            index[key] = uid
-            uniques.append(UniqueCandidate(tokens=key, surface=" ".join(raw)))
-        span.unique_id = uid
-        uniques[uid].mentions.append(i)
-    return uniques
-
-
-def mark_gold(spans: list, uniques: list, answers: list) -> list:
-    """Flag every span whose normalized text equals a normalized alias.
-
-    Returns the gold unique-candidate ids. Aliases normalizing to the
-    empty string match nothing. Adding aliases never unmarks a span.
-    """
-    if not answers:
-        raise ContractError("mark_gold needs a non-empty alias list")
-    alias_set = {normalize_answer(a) for a in answers}
-    alias_set.discard("")
-    gold_ids = []
-    for uid, unique in enumerate(uniques):
-        text = normalize_answer(" ".join(unique.tokens))
-        if text and text in alias_set:
-            gold_ids.append(uid)
-            for mi in unique.mentions:
-                spans[mi].is_gold = True
-    return gold_ids
-
-
-def _content_tokens(tokens) -> set:
-    out = set()
-    for t in tokens:
-        lt = t.lower()
-        if lt in STOPWORDS:
-            continue
-        if lt and all(c in _PUNCT for c in lt):
-            continue
-        out.add(lt)
-    return out
-
-
-def question_in_span(question_tokens: list, span_tokens: list) -> int:
-    """1 iff any non-stopword question token occurs in the span."""
-    content = _content_tokens(question_tokens)
-    if not content:
-        return 0
-    return int(any(t.lower() in content for t in span_tokens))
+def _starts(counts) -> np.ndarray:
+    """Where each of consecutive runs of ``counts`` items begins."""
+    counts = np.asarray(counts, dtype=np.intp)
+    return np.cumsum(counts) - counts
 
 
 def build_candidates(example: QAExample,
                      span_limit: int = DEFAULT_SPAN_LIMIT) -> CandidateSet:
     """Enumerate, deduplicate and gold-mark all spans of an example.
 
-    An empty alias list (prediction-only use) skips gold marking.
+    Spans are the within-sentence windows of length 1..span_limit (a
+    sentence of G tokens yields sum over o of (G - o + 1) of them). Spans
+    with the same lowercased text share a unique, numbered in first-mention
+    order. A unique is gold when its normalized text equals a normalized
+    alias other than ""; an empty alias list (prediction-only use) marks
+    nothing. ``gamma`` flags spans that hold a question token which is
+    neither a stopword nor punctuation.
     """
-    spans: list[SpanCandidate] = []
-    for di, doc in enumerate(example.documents):
-        spans.extend(generate_spans(doc, span_limit, doc_index=di))
-    uniques = build_unique_map(spans, example.documents)
-    gold_ids = mark_gold(spans, uniques, example.answers) if example.answers else []
-    return CandidateSet(spans=spans, uniques=uniques, gold_unique_ids=gold_ids)
+    if span_limit < 1:
+        raise ContractError(f"span limit must be >= 1, got {span_limit}")
+    # the documents concatenated: token ids of the lowercased text, and
+    # the [start, end) bounds of every sentence
+    docs = example.documents
+    raw = [t for d in docs for t in d.tokens]
+    lowered = [t.lower() for t in raw]
+    vocab: dict[str, int] = {}
+    ids = np.array([vocab.setdefault(t, len(vocab)) for t in lowered],
+                   dtype=np.intp)
+    tok_off = _starts([len(d.tokens) for d in docs])
+    n_sents = [len(d.sentences) for d in docs]
+    bounds = np.array([(s + o, e + o) for d, o in zip(docs, tok_off.tolist())
+                       for s, e in d.sentences], dtype=np.intp).reshape(-1, 2)
+
+    # every window: each sentence token as a start, repeated once per length
+    sizes = bounds[:, 1] - bounds[:, 0]
+    pos = np.arange(sizes.sum()) + np.repeat(bounds[:, 0] - _starts(sizes),
+                                             sizes)
+    room = np.minimum(span_limit, np.repeat(bounds[:, 1], sizes) - pos)
+    begin = np.repeat(pos, room)
+    length = np.arange(room.sum()) - np.repeat(_starts(room), room) + 1
+    sentence = np.repeat(np.repeat(np.arange(len(sizes)), sizes), room)
+    doc = np.repeat(np.arange(len(docs)), n_sents)[sentence]
+
+    # uniques: distinct rows of token ids (padded with -1), by first mention
+    steps = np.arange(span_limit)
+    inside = steps < length[:, None]
+    rows = np.where(inside, ids[np.where(inside, begin[:, None] + steps, 0)], -1)
+    _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
+    rank = np.argsort(np.argsort(first))
+    first = np.sort(first)
+
+    aliases = {normalize_answer(a) for a in example.answers} - {""}
+    surfaces, gold = [], []
+    for uid, (b, n) in enumerate(zip(begin[first].tolist(),
+                                     length[first].tolist())):
+        surfaces.append(" ".join(raw[b:b + n]))
+        if aliases and normalize_answer(" ".join(lowered[b:b + n])) in aliases:
+            gold.append(uid)
+
+    content = [vocab[t] for t in {t.lower() for t in example.question}
+               if t in vocab and t not in STOPWORDS
+               and not (t and set(t) <= _PUNCT)]
+    hits = np.concatenate([[0], np.cumsum(np.isin(ids, content))])
+    spans = SpanTable(doc=doc, sentence=sentence - _starts(n_sents)[doc],
+                      start=begin - tok_off[doc], length=length,
+                      unique=rank[inverse.reshape(-1)])
+    return CandidateSet(spans, surfaces, np.array(gold, dtype=np.intp),
+                        (hits[begin + length] > hits[begin]).astype(np.float64))
 
 
 def load_examples(
@@ -302,23 +276,31 @@ def load_examples(
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}", line_number=lineno) from None
+        if not isinstance(record, dict):
+            raise ParseError(f"expected a JSON object, got "
+                             f"{type(record).__name__}", line_number=lineno)
         for key in ("id", "question", "documents", "answers"):
             if key not in record:
                 raise ParseError(f"missing field {key!r}", line_number=lineno)
+        for key in ("documents", "answers"):
+            if not (isinstance(record[key], list)
+                    and all(isinstance(x, str) for x in record[key])):
+                raise ParseError(f"field {key!r} must be an array of strings",
+                                 line_number=lineno)
         question = tokenize(str(record["question"])).tokens
         if not question:
             raise ContractError(
                 f"line {lineno}: question of example {record['id']!r} "
                 "has no tokens"
             )
-        answers = [str(a) for a in record["answers"]]
+        answers = record["answers"]
         if not answers:
             raise ParseError("empty answers array", line_number=lineno)
         raw_docs = record["documents"]
         if not raw_docs:
             raise ParseError("empty documents array", line_number=lineno)
         docs = [
-            truncate(tokenize(str(d)), max_tokens, max_sentences,
+            truncate(tokenize(d), max_tokens, max_sentences,
                      max_sentence_len)
             for d in raw_docs
         ]

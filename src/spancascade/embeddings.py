@@ -66,9 +66,13 @@ class EmbeddingTable:
                     f"vector for {token!r} has shape {arr.shape}, "
                     f"expected ({self.dimension},)"
                 )
-            norm = np.linalg.norm(arr)
-            if norm == 0.0:
+            if not arr.any():
                 raise DataError(f"zero-norm vector for token {token!r}")
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(arr)
+            if not 0.0 < norm < np.inf:  # the squares over- or underflowed
+                arr = arr / np.abs(arr).max()
+                norm = np.linalg.norm(arr)
             arr = arr / norm
             arr.setflags(write=False)
             vocab[key] = arr
@@ -110,8 +114,9 @@ def load_embeddings(source, dimension: int, seed: int = 0) -> EmbeddingTable:
     """Parse `token v1 ... v_dimension` lines into an EmbeddingTable.
 
     ``source`` is a text stream, a path, or a string of lines. Duplicate
-    tokens keep their first occurrence; malformed lines raise ParseError
-    with the line number; zero-norm vectors raise DataError.
+    tokens keep their first occurrence; malformed lines, including nan or
+    infinite values, raise ParseError with the line number; zero-norm
+    vectors raise DataError.
     """
     if isinstance(source, str) and "\n" not in source:
         with open(source, "r", encoding="utf-8") as fh:
@@ -134,9 +139,12 @@ def load_embeddings(source, dimension: int, seed: int = 0) -> EmbeddingTable:
             vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
         except ValueError as exc:
             raise ParseError(f"bad number: {exc}", line_number=lineno) from None
+        if not np.all(np.isfinite(vec)):
+            raise ParseError(f"non-finite value for token {token!r}",
+                             line_number=lineno)
         if token.lower() in vectors:
             continue
-        if np.linalg.norm(vec) == 0.0:
+        if not vec.any():
             raise DataError(f"line {lineno}: zero-norm vector for token {token!r}")
         vectors[token.lower()] = vec
     return EmbeddingTable(vectors, dimension, seed)

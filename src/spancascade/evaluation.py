@@ -178,9 +178,10 @@ def evaluate(scorer, examples, k_max: int = 5) -> EvalReport:
     for example in examples:
         scored = scorer(example)
         aliases = scored.aliases
+        alias_set = {normalize_answer(a) for a in aliases}
         gold_idx = [
             i for i, text in enumerate(scored.candidates)
-            if exact_match(text, aliases)
+            if normalize_answer(text) in alias_set
         ]
         gold_freq = int(sum(scored.mention_counts[i] for i in gold_idx))
         if gold_idx:

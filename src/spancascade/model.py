@@ -36,7 +36,7 @@ from .autodiff import (
     ffnn,
     linear,
 )
-from .corpus import CandidateSet, QAExample, build_candidates, question_in_span
+from .corpus import CandidateSet, QAExample, build_candidates
 from .embeddings import EmbeddingTable
 from .errors import (
     CheckpointError,
@@ -296,70 +296,45 @@ def encode_example(example: QAExample, cands: CandidateSet,
             f"{arch.embed_dim}"
         )
 
-    doc_mats, doc_csums, token_offsets, sent_offsets = [], [], [], []
-    sentence_ranges: list[tuple[int, int]] = []
-    tok_off = 0
-    for doc in example.documents:
-        mat = table.lookup_all(doc.tokens)
-        doc_mats.append(mat)
-        cs = np.zeros((len(doc.tokens) + 1, arch.embed_dim))
-        np.cumsum(mat, axis=0, out=cs[1:])
-        doc_csums.append(cs)
-        token_offsets.append(tok_off)
-        sent_offsets.append(len(sentence_ranges))
-        sentence_ranges.extend(
-            (s + tok_off, e + tok_off) for s, e in doc.sentences
-        )
-        tok_off += len(doc.tokens)
-    doc_embed = (
-        np.concatenate(doc_mats) if doc_mats else np.zeros((0, arch.embed_dim))
-    )
+    docs = example.documents
+    mats = [table.lookup_all(doc.tokens) for doc in docs]
+    sizes = np.array([len(m) for m in mats], dtype=np.intp)
+    tok_off = np.cumsum(sizes) - sizes
+    sentence_ranges = [(s + o, e + o) for doc, o in zip(docs, tok_off.tolist())
+                       for s, e in doc.sentences]
+    n_sents = np.array([len(doc.sentences) for doc in docs], dtype=np.intp)
+    # per-document prefix sums, stacked: row tok_off[d] + d + i holds the
+    # sum of document d's first i token vectors
+    zero = np.zeros((1, arch.embed_dim))
+    csums = np.concatenate([np.concatenate([zero, np.cumsum(m, axis=0)])
+                            for m in mats] or [zero])
 
-    S = len(cands.spans)
-    span_sentence = np.zeros(S, dtype=np.intp)
-    span_unique = np.zeros(S, dtype=np.intp)
-    span_avg = np.zeros((S, arch.embed_dim))
-    ctx_left = np.zeros((S, arch.embed_dim))
-    ctx_right = np.zeros((S, arch.embed_dim))
-    gamma_unique = np.array(
-        [
-            float(question_in_span(example.question, u.tokens))
-            for u in cands.uniques
-        ]
-    )
-    for i, sp in enumerate(cands.spans):
-        cs = doc_csums[sp.doc_index]
-        n_doc = cs.shape[0] - 1
-        span_sentence[i] = sent_offsets[sp.doc_index] + sp.sentence_index
-        span_unique[i] = sp.unique_id
-        span_avg[i] = (cs[sp.end] - cs[sp.start]) / sp.length
-        lo = max(0, sp.start - K)
-        ctx_left[i] = (cs[sp.start] - cs[lo]) / K
-        hi = min(n_doc, sp.end + K)
-        ctx_right[i] = (cs[hi] - cs[sp.end]) / K
-    gamma = gamma_unique[span_unique] if S else np.zeros(0)
-
-    mention_counts = np.array([len(u.mentions) for u in cands.uniques], dtype=np.intp)
-    gold_spans = np.array(
-        [i for i, sp in enumerate(cands.spans) if sp.is_gold], dtype=np.intp
-    )
+    spans = cands.spans
+    base = (tok_off + np.arange(len(docs)))[spans.doc]
+    start = base + spans.start
+    end = start + spans.length
+    lo = base + np.maximum(0, spans.start - K)
+    hi = base + np.minimum(sizes[spans.doc], spans.start + spans.length + K)
+    span_avg = (csums[end] - csums[start]) / spans.length[:, None]
+    ctx_left = (csums[start] - csums[lo]) / K
+    ctx_right = (csums[hi] - csums[end]) / K
     return EncodedExample(
         example_id=example.example_id,
         aliases=list(example.answers),
         question=q_embed,
-        doc_embed=doc_embed,
+        doc_embed=np.concatenate(mats or [np.zeros((0, arch.embed_dim))]),
         sentence_ranges=sentence_ranges,
-        span_sentence=span_sentence,
-        span_unique=span_unique,
-        gamma=gamma,
+        span_sentence=(np.cumsum(n_sents) - n_sents)[spans.doc] + spans.sentence,
+        span_unique=spans.unique,
+        gamma=cands.gamma,
         span_avg=span_avg,
         ctx_left=ctx_left,
         ctx_right=ctx_right,
-        n_unique=len(cands.uniques),
-        gold_spans=gold_spans,
-        gold_uniques=np.array(cands.gold_unique_ids, dtype=np.intp),
-        unique_surfaces=[u.surface for u in cands.uniques],
-        mention_counts=mention_counts,
+        n_unique=len(cands.surfaces),
+        gold_spans=np.flatnonzero(np.isin(spans.unique, cands.gold_unique_ids)),
+        gold_uniques=cands.gold_unique_ids,
+        unique_surfaces=cands.surfaces,
+        mention_counts=np.bincount(spans.unique, minlength=len(cands.surfaces)),
     )
 
 

@@ -365,10 +365,8 @@ def prepare_examples(examples, table, arch: Architecture) -> list:
     prepared = []
     for example in examples:
         cands = build_candidates(example, arch.span_limit)
-        if not cands.spans:
-            prepared.append(None)
-            continue
-        prepared.append(encode_example(example, cands, table, arch))
+        prepared.append(encode_example(example, cands, table, arch)
+                        if cands.spans else None)
     return prepared
 
 

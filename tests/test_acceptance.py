@@ -6,7 +6,7 @@ experiments train real models from scratch and together take several
 minutes on one CPU core. Every run is seeded and deterministic.
 """
 
-import copy
+import dataclasses
 import time
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 from spancascade import autodiff as ad
 from spancascade import evaluation, model, synth, training
 from spancascade.bench import run_benchmark
-from spancascade.corpus import Document, build_candidates, generate_spans, tokenize
+from spancascade.corpus import Document, QAExample, build_candidates, tokenize
 from spancascade.embeddings import random_table
 from spancascade.evaluation import evaluate, exact_match, token_f1
 from spancascade.training import LossWeights, TrainConfig, ablation_config
@@ -106,6 +106,10 @@ def _brute_force(doc, limit):
     return sorted(out)
 
 
+def _spans(doc, limit):
+    return build_candidates(QAExample("x", ["who"], [doc], []), limit).spans
+
+
 def test_span_enumeration_matches_brute_force():
     rng = np.random.default_rng(77)
     total = 0
@@ -117,12 +121,13 @@ def test_span_enumeration_matches_brute_force():
             tokens.extend(f"t{i}" for i in range(g))
             sentences.append((start, start + g))
         doc = Document(tokens, list(range(len(tokens))), sentences)
-        spans = generate_spans(doc, 5)
-        got = sorted((sp.sentence_index, sp.start, sp.end) for sp in spans)
+        spans = _spans(doc, 5)
+        got = sorted(zip(spans.sentence.tolist(), spans.start.tolist(),
+                         (spans.start + spans.length).tolist()))
         assert got == _brute_force(doc, 5)
         total += len(spans)
     ten = Document([f"t{i}" for i in range(10)], list(range(10)), [(0, 10)])
-    assert len(generate_spans(ten, 5)) == 40
+    assert len(_spans(ten, 5)) == 40
     _status("span enumeration oracle",
             f"100 random documents, {total} spans, exact match; G=10 -> 40")
 
@@ -131,35 +136,39 @@ def test_span_enumeration_matches_brute_force():
 # 4. aggregation invariance
 
 
+def _take_spans(enc, rows):
+    """``enc`` with span rows ``rows`` of its own; gold spans follow."""
+    gold = set(enc.gold_spans.tolist())
+    return dataclasses.replace(
+        enc, span_sentence=enc.span_sentence[rows],
+        span_unique=enc.span_unique[rows], gamma=enc.gamma[rows],
+        span_avg=enc.span_avg[rows], ctx_left=enc.ctx_left[rows],
+        ctx_right=enc.ctx_right[rows],
+        gold_spans=np.array([j for j, r in enumerate(rows) if r in gold],
+                            dtype=np.intp))
+
+
 def test_mention_permutation_and_duplication():
     example, table = synth.gradcheck_instance(embed_dim=8, seed=13)
     arch = model.Architecture(embed_dim=8, hidden_width=8)
     params = model.CascadeParams.initialize(arch, 3)
+    enc = model.encode_example(
+        example, build_candidates(example, arch.span_limit), table, arch)
+    reference = model.score_example(params, enc).phi4
 
-    def phi4(cands):
-        enc = model.encode_example(example, cands, table, arch)
-        return model.score_example(params, enc).phi4
+    rows = np.random.default_rng(0).permutation(enc.n_spans)
+    permuted = model.score_example(params, _take_spans(enc, rows)).phi4
+    diff = float(np.max(np.abs(permuted - reference)))
+    assert diff <= 1e-12
 
-    base = build_candidates(example, arch.span_limit)
-    reference = phi4(base)
-
-    permuted = build_candidates(example, arch.span_limit)
-    rng = np.random.default_rng(0)
-    for u in permuted.uniques:
-        rng.shuffle(u.mentions)
-    assert phi4(permuted).tobytes() == reference.tobytes()
-
-    duplicated = build_candidates(example, arch.span_limit)
-    gold_span = next(sp for sp in duplicated.spans if sp.is_gold)
-    clone = copy.copy(gold_span)
-    duplicated.spans.append(clone)
-    duplicated.uniques[clone.unique_id].mentions.append(
-        len(duplicated.spans) - 1)
-    changed = phi4(duplicated)
-    assert changed[clone.unique_id] != reference[clone.unique_id]
+    gold = int(enc.gold_spans[0])
+    duplicated = _take_spans(enc, np.append(np.arange(enc.n_spans), gold))
+    changed = model.score_example(params, duplicated).phi4
+    uid = enc.span_unique[gold]
+    assert changed[uid] != reference[uid]
     _status("aggregation invariance",
-            "mention permutation changed phi4 by exactly 0; "
-            "duplication changed it")
+            f"permuting the span rows changed phi4 by {diff:.1e} (<= 1e-12); "
+            "duplicating a gold mention changed it")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tape autodiff: forward oracles, gradient checks, softmax properties."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -340,6 +343,24 @@ def test_non_recording_tape_keeps_nothing_and_refuses_backward():
     assert len(tape) == 0
     with pytest.raises(ContractError):
         tape.backward(out)
+
+
+def test_tape_with_gathers_and_stacks_is_freed_without_cyclic_gc():
+    def run():
+        tape = ad.Tape()
+        x = tape.variable(np.arange(6.0).reshape(3, 2), "x")
+        v = tape.variable(np.arange(3.0), "v")
+        rows = ad.stack_rows([ad.sum_rows(ad.gather_rows(x, [0, 2])),
+                              ad.gather(v, [1, 2])])
+        grads = tape.backward(ad.logsumexp(ad.sum_rows(rows)))
+        assert set(grads) == {"x", "v"}
+        return weakref.ref(tape)
+
+    gc.disable()
+    try:
+        assert run()() is None
+    finally:
+        gc.enable()
 
 
 def test_segment_sum_matches_sequential_add_at_bitwise():

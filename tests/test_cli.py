@@ -116,6 +116,17 @@ def test_eval_truncation_sweep(tmp_path, corpus_path, embeddings_path,
     assert second >= first
 
 
+def test_train_non_object_corpus_line_is_io_error(tmp_path, corpus_path,
+                                                 embeddings_path, capsys):
+    data = tmp_path / "corpus.jsonl"
+    with open(corpus_path) as fh:
+        data.write_text(fh.readline() + "42\n")
+    code = main(["train", "--data", str(data), "--embeddings", embeddings_path,
+                 "--dim", "8", "--out", str(tmp_path / "out")])
+    assert code == EXIT_IO
+    assert "line 2: expected a JSON object" in capsys.readouterr().err
+
+
 def test_eval_bad_checkpoint(tmp_path, corpus_path, embeddings_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")

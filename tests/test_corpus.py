@@ -7,15 +7,14 @@ from spancascade.corpus import (
     Document,
     QAExample,
     build_candidates,
-    build_unique_map,
-    generate_spans,
     load_examples,
-    mark_gold,
-    question_in_span,
     tokenize,
     truncate,
 )
+from spancascade.embeddings import random_table
 from spancascade.errors import ContractError, ParseError
+from spancascade.evaluation import normalize_answer
+from spancascade.model import Architecture, encode_example
 
 
 def test_tokenize_basic_punctuation():
@@ -112,13 +111,72 @@ def brute_force_spans(doc, limit):
     return sorted(found)
 
 
+def candidates(doc, limit, answers=(), question=("who",)):
+    """build_candidates over a one-document example."""
+    return build_candidates(QAExample("x", list(question), [doc], list(answers)),
+                            limit)
+
+
+def span_rows(cands):
+    """(doc, sentence, start, length) per span, in table order."""
+    sp = cands.spans
+    return list(zip(sp.doc.tolist(), sp.sentence.tolist(), sp.start.tolist(),
+                    sp.length.tolist()))
+
+
+def mentions(cands, uid):
+    return np.flatnonzero(cands.spans.unique == uid).tolist()
+
+
+def unique_oracle(docs, cands):
+    """Unique ids and surfaces from a dict keyed by lowercased token tuples,
+    numbered in first-mention order."""
+    index, ids, surfaces = {}, [], []
+    for d, _, start, length in span_rows(cands):
+        raw = docs[d].tokens[start:start + length]
+        key = tuple(t.lower() for t in raw)
+        if key not in index:
+            index[key] = len(index)
+            surfaces.append(" ".join(raw))
+        ids.append(index[key])
+    return ids, surfaces
+
+
+def gold_span_oracle(docs, cands, answers):
+    """Spans whose lowercased text normalizes to a non-empty alias."""
+    aliases = {normalize_answer(a) for a in answers} - {""}
+    return [i for i, (d, _, start, length) in enumerate(span_rows(cands))
+            if normalize_answer(" ".join(t.lower() for t in
+                                         docs[d].tokens[start:start + length]))
+            in aliases]
+
+
+def encoded_gold_spans(doc, limit, answers):
+    example = QAExample("x", ["who"], [doc], list(answers))
+    table = random_table(sorted({t.lower() for t in doc.tokens}), 4, seed=0)
+    enc = encode_example(example, build_candidates(example, limit), table,
+                         Architecture(embed_dim=4, hidden_width=4,
+                                      span_limit=limit))
+    return enc.gold_spans.tolist()
+
+
 def test_span_counts_small_cases():
     doc = Document(list("abcdefghij"), list(range(10)), [(0, 10)])
-    assert len(generate_spans(doc, 5)) == 40
+    assert len(candidates(doc, 5).spans) == 40
     doc1 = Document(["x"], [0], [(0, 1)])
-    assert len(generate_spans(doc1, 5)) == 1
+    assert len(candidates(doc1, 5).spans) == 1
     doc3 = Document(list("abc"), [0, 1, 2], [(0, 3)])
-    assert len(generate_spans(doc3, 5)) == 6
+    assert len(candidates(doc3, 5).spans) == 6
+    with pytest.raises(ContractError, match="span limit"):
+        candidates(doc3, 0)
+
+
+def test_build_candidates_no_tokens_gives_no_spans():
+    for docs in ([], [tokenize("")], [tokenize(""), tokenize("")]):
+        cands = build_candidates(QAExample("x", ["who"], docs, ["a"]), 5)
+        assert not cands.spans
+        assert cands.surfaces == [] and cands.gamma.shape == (0,)
+        assert cands.gold_unique_ids.size == 0
 
 
 def test_span_enumeration_matches_brute_force_100_random_docs():
@@ -132,25 +190,26 @@ def test_span_enumeration_matches_brute_force_100_random_docs():
             tokens.extend(f"t{i}" for i in range(g))
             sentences.append((start, start + g))
         doc = Document(tokens, list(range(len(tokens))), sentences)
-        spans = generate_spans(doc, 5)
-        got = sorted((sp.sentence_index, sp.start, sp.end) for sp in spans)
+        got = sorted((si, start, start + length)
+                     for _, si, start, length in span_rows(candidates(doc, 5)))
         assert got == brute_force_spans(doc, 5)
 
 
 def test_span_order_lexicographic():
-    doc = Document(list("abc"), [0, 1, 2], [(0, 3)])
-    spans = generate_spans(doc, 2)
-    keys = [(sp.sentence_index, sp.start, sp.length) for sp in spans]
-    assert keys == sorted(keys)
+    docs = [tokenize("a b c . d e ."), tokenize("f . g h i j k l .")]
+    cands = build_candidates(QAExample("x", ["who"], docs, []), 2)
+    rows = span_rows(cands)
+    assert rows == sorted(rows)
+    assert {d for d, *_ in rows} == {0, 1}
 
 
 def test_unique_map_groups_case_insensitively():
     doc = tokenize("Pollock met pollock and POLLOCK met Krasner")
-    spans = generate_spans(doc, 1)
-    uniques = build_unique_map(spans, doc)
-    pollock = [u for u in uniques if u.tokens == ("pollock",)]
-    assert len(pollock) == 1
-    assert len(pollock[0].mentions) == 3
+    cands = candidates(doc, 1)
+    pollock = [u for u, s in enumerate(cands.surfaces) if s.lower() == "pollock"]
+    assert pollock == [0]
+    assert cands.surfaces[0] == "Pollock"  # the first mention's case
+    assert len(mentions(cands, 0)) == 3
 
 
 def test_unique_map_mentions_partition_spans():
@@ -158,74 +217,103 @@ def test_unique_map_mentions_partition_spans():
     words = ["aa", "bb", "cc"]
     text = " ".join(words[int(i)] for i in rng.integers(0, 3, 40)) + " ."
     doc = tokenize(text)
-    spans = generate_spans(doc, 5)
-    uniques = build_unique_map(spans, doc)
-    all_mentions = sorted(m for u in uniques for m in u.mentions)
-    assert all_mentions == list(range(len(spans)))
-    for u in uniques:
-        for m in u.mentions:
-            assert spans[m].unique_id == uniques.index(u)
+    cands = candidates(doc, 5)
+    n_unique = len(cands.surfaces)
+    assert np.all(np.bincount(cands.spans.unique, minlength=n_unique) > 0)
+    assert cands.spans.unique.max() == n_unique - 1
+    assert unique_oracle([doc], cands) == (cands.spans.unique.tolist(),
+                                           cands.surfaces)
+
+
+def test_unique_ids_match_dict_oracle_on_random_examples():
+    rng = np.random.default_rng(12)
+    words = ["Alpha", "alpha", "ALPHA", "beta", "Beta", "gamma", ",", "."]
+    for _ in range(50):
+        docs = []
+        for _ in range(int(rng.integers(1, 4))):
+            n = int(rng.integers(0, 30))
+            docs.append(tokenize(" ".join(
+                words[int(i)] for i in rng.integers(0, len(words), n))))
+        limit = int(rng.integers(1, 7))
+        cands = build_candidates(QAExample("x", ["who"], docs, []), limit)
+        assert unique_oracle(docs, cands) == (cands.spans.unique.tolist(),
+                                              cands.surfaces)
 
 
 def test_all_distinct_spans_give_one_unique_each():
     doc = Document(["a", "b", "c"], [0, 1, 2], [(0, 3)])
-    spans = generate_spans(doc, 1)
-    uniques = build_unique_map(spans, doc)
-    assert len(uniques) == len(spans)
+    cands = candidates(doc, 1)
+    assert len(cands.surfaces) == len(cands.spans)
 
 
 def test_mark_gold_alias_list():
     doc = tokenize("Jackson Pollock married Krasner . Pollock painted .")
-    spans = generate_spans(doc, 5)
-    uniques = build_unique_map(spans, doc)
-    gold = mark_gold(spans, uniques, ["Jackson Pollock", "Pollock",
-                                      "Pollock, Jackson"])
-    gold_texts = {" ".join(uniques[u].tokens) for u in gold}
+    answers = ["Jackson Pollock", "Pollock", "Pollock, Jackson"]
+    cands = candidates(doc, 5, answers)
+    gold_texts = {cands.surfaces[u].lower() for u in cands.gold_unique_ids}
     assert "pollock" in gold_texts
     assert "jackson pollock" in gold_texts
-    pollock_unique = next(u for u in uniques if u.tokens == ("pollock",))
-    assert all(spans[m].is_gold for m in pollock_unique.mentions)
+    gold_spans = encoded_gold_spans(doc, 5, answers)
+    pollock = cands.surfaces.index("Pollock")
+    assert set(mentions(cands, pollock)) <= set(gold_spans)
+    assert gold_spans == gold_span_oracle([doc], cands, answers)
 
 
 def test_mark_gold_no_match_zero_flags():
     doc = tokenize("nothing relevant here .")
-    spans = generate_spans(doc, 5)
-    uniques = build_unique_map(spans, doc)
-    gold = mark_gold(spans, uniques, ["absent"])
-    assert gold == []
-    assert not any(sp.is_gold for sp in spans)
+    cands = candidates(doc, 5, ["absent"])
+    assert cands.gold_unique_ids.size == 0
+    assert encoded_gold_spans(doc, 5, ["absent"]) == []
 
 
 def test_mark_gold_case_folds():
     doc = tokenize("Catalysts speed reactions and catalysts help .")
-    spans = generate_spans(doc, 5)
-    uniques = build_unique_map(spans, doc)
-    gold = mark_gold(spans, uniques, ["Catalysts"])
-    assert len(gold) == 1
-    assert len(uniques[gold[0]].mentions) == 2
+    cands = candidates(doc, 5, ["Catalysts"])
+    assert cands.gold_unique_ids.tolist() == [0]
+    assert len(mentions(cands, 0)) == 2
 
 
 def test_mark_gold_monotone_in_aliases():
     doc = tokenize("alpha beta gamma .")
-    spans = generate_spans(doc, 5)
-    uniques = build_unique_map(spans, doc)
-    mark_gold(spans, uniques, ["alpha"])
-    flags_before = [sp.is_gold for sp in spans]
-    mark_gold(spans, uniques, ["alpha", "beta"])
-    for before, after in zip(flags_before, (sp.is_gold for sp in spans)):
-        assert after or not before
+    before = encoded_gold_spans(doc, 5, ["alpha"])
+    after = encoded_gold_spans(doc, 5, ["alpha", "beta"])
+    assert before and set(before) < set(after)
+
+
+def test_mark_gold_matches_oracle_on_random_examples():
+    rng = np.random.default_rng(8)
+    words = ["The", "red", "Fox", "fox", "an", ",", ".", "a"]
+    for _ in range(50):
+        text = " ".join(words[int(i)] for i in rng.integers(0, len(words), 25))
+        doc = tokenize(text)
+        answers = [" ".join(words[int(i)] for i in rng.integers(0, 8, k))
+                   for k in rng.integers(1, 4, int(rng.integers(1, 4)))]
+        cands = candidates(doc, 5, answers)
+        expect = gold_span_oracle([doc], cands, answers)
+        assert encoded_gold_spans(doc, 5, answers) == expect
+        gold_uniques = sorted({int(cands.spans.unique[i]) for i in expect})
+        assert cands.gold_unique_ids.tolist() == gold_uniques
+
+
+def span_gamma(question, doc_text, span_text):
+    """The question-in-span flag of the first span reading ``span_text``."""
+    cands = candidates(tokenize(doc_text), 5, question=question)
+    return cands.gamma[mentions(cands, cands.surfaces.index(span_text))[0]]
 
 
 def test_question_in_span_examples():
     question = tokenize("Which US artist married Lee Krasner in 1945 ?").tokens
-    assert question_in_span(question, ["Lee", "Krasner"]) == 1
-    assert question_in_span(question, ["Jackson", "Pollock"]) == 0
-    assert question_in_span(["which"], ["which"]) == 0  # stopword only
-    assert question_in_span(question, ["1945"]) == 1
+    doc = "Lee Krasner . Jackson Pollock . 1945 ."
+    assert span_gamma(question, doc, "Lee Krasner") == 1.0
+    assert span_gamma(question, doc, "Jackson Pollock") == 0.0
+    assert span_gamma(["which"], "which", "which") == 0.0  # stopword only
+    assert span_gamma(question, doc, "1945") == 1.0
 
 
 def test_question_in_span_ignores_punctuation_tokens():
-    assert question_in_span(["what", "?", "!"], ["?", "!"]) == 0
+    doc = Document(["?", "!"], [0, 1], [(0, 2)])
+    cands = candidates(doc, 5, question=["what", "?", "!"])
+    assert cands.gamma.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_load_examples_wiki_and_web_modes():
@@ -253,6 +341,28 @@ def test_load_examples_errors():
         load_examples("{}", mode="bogus")
 
 
+GOOD_LINE = ('{"id": "q", "question": "who ?", "documents": ["a b ."], '
+             '"answers": ["a"]}')
+
+
+@pytest.mark.parametrize("line", ["3", '"text"', "[1, 2]", "null", "true"])
+def test_load_examples_non_object_line_names_line(line):
+    with pytest.raises(ParseError, match="line 2: expected a JSON object"):
+        load_examples(GOOD_LINE + "\n" + line + "\n")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("documents", '"a b ."'), ("answers", '"a"'), ("documents", '["a", 3]'),
+    ("answers", '["a", null]'), ("answers", '{"a": 1}'),
+])
+def test_load_examples_fields_must_be_string_arrays(field, value):
+    record = {"id": '"q"', "question": '"who ?"', "documents": '["a b ."]',
+              "answers": '["a"]', field: value}
+    line = "{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}"
+    with pytest.raises(ParseError, match=f"line 1: field '{field}' must be"):
+        load_examples(line + "\n")
+
+
 def test_load_examples_applies_truncation():
     docs = " ".join(["w"] * 100)
     line = ('{"id": "q", "question": "what ?", "documents": ["%s"], '
@@ -268,17 +378,17 @@ def test_build_candidates_multi_document_sentence_indexing():
         ["beta"])
     cands = build_candidates(example, 2)
     # "beta" occurs once per document; both map to one unique candidate
-    beta = next(u for u in cands.uniques if u.tokens == ("beta",))
-    assert len(beta.mentions) == 2
-    docs = {cands.spans[m].doc_index for m in beta.mentions}
-    assert docs == {0, 1}
+    beta = cands.surfaces.index("beta")
+    assert len(mentions(cands, beta)) == 2
+    assert {int(cands.spans.doc[m]) for m in mentions(cands, beta)} == {0, 1}
+    assert cands.spans.sentence[mentions(cands, beta)].tolist() == [0, 0]
     # the bare "beta" unique is gold; "beta ." also normalizes to "beta"
-    assert cands.spans[beta.mentions[0]].unique_id in cands.gold_unique_ids
+    assert beta in cands.gold_unique_ids
     for uid in cands.gold_unique_ids:
-        assert "".join(cands.uniques[uid].tokens).strip(".") == "beta"
+        assert cands.surfaces[uid].replace(" ", "").strip(".") == "beta"
 
 
 def test_build_candidates_empty_answers_skips_gold():
     example = QAExample("x", ["who"], [tokenize("a b .")], [])
     cands = build_candidates(example, 2)
-    assert cands.gold_unique_ids == []
+    assert cands.gold_unique_ids.size == 0

@@ -48,6 +48,19 @@ def test_bad_number_names_line():
         load_embeddings("a 1 2 oops\n", 3)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e999"])
+def test_non_finite_value_names_line(bad):
+    with pytest.raises(ParseError, match="line 2: non-finite"):
+        load_embeddings(f"a 1 2\nb 1 {bad}\n", 2)
+
+
+def test_extreme_magnitudes_normalize_to_unit_vectors():
+    table = load_embeddings("a 1e200 -1e200\nb 1e-200 0\n", 2)
+    np.testing.assert_allclose(table.lookup("a"), [0.5 ** 0.5, -0.5 ** 0.5],
+                               rtol=1e-15)
+    np.testing.assert_array_equal(table.lookup("b"), [1.0, 0.0])
+
+
 def test_zero_norm_vector_rejected():
     with pytest.raises(DataError):
         load_embeddings("a 0 0 0\n", 3)

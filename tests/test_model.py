@@ -1,6 +1,7 @@
 """Cascade forward: level contracts, attention sharing, checkpoints."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -83,27 +84,24 @@ def test_span_embedding_appends_flag():
 
 def test_encode_single_token_span_average_is_embedding(toy):
     example, table, cands, enc, _ = toy
-    for i, sp in enumerate(cands.spans):
-        if sp.length == 1:
-            tok = example.documents[0].tokens[sp.start]
-            np.testing.assert_allclose(enc.span_avg[i], table.lookup(tok),
-                                       rtol=1e-12)
-            break
+    i = np.flatnonzero(cands.spans.length == 1)[0]
+    tok = example.documents[0].tokens[cands.spans.start[i]]
+    np.testing.assert_allclose(enc.span_avg[i], table.lookup(tok), rtol=1e-12)
 
 
 def test_encode_context_zero_at_document_edges(toy):
     example, table, cands, enc, _ = toy
-    first = next(i for i, sp in enumerate(cands.spans) if sp.start == 0)
+    spans = cands.spans
+    first = np.flatnonzero(spans.start == 0)[0]
     np.testing.assert_array_equal(enc.ctx_left[first], np.zeros(8))
     n = len(example.documents[0].tokens)
-    last = next(i for i, sp in enumerate(cands.spans) if sp.end == n)
+    last = np.flatnonzero(spans.start + spans.length == n)[0]
     np.testing.assert_array_equal(enc.ctx_right[last], np.zeros(8))
 
 
 def test_encode_context_is_adjacent_token_for_k1(toy):
     example, table, cands, enc, _ = toy
-    sp = next((i, s) for i, s in enumerate(cands.spans) if s.start == 1)
-    idx, span = sp
+    idx = np.flatnonzero(cands.spans.start == 1)[0]
     left_tok = example.documents[0].tokens[0]
     np.testing.assert_allclose(enc.ctx_left[idx], table.lookup(left_tok),
                                rtol=1e-12)
@@ -113,9 +111,10 @@ def test_encode_gamma_is_binary_and_reflects_overlap(toy):
     example, table, cands, enc, _ = toy
     assert set(np.unique(enc.gamma)) <= {0.0, 1.0}
     # question "who met vel tost ?" has content tokens {met, vel, tost}
-    for i, sp in enumerate(cands.spans):
+    for i, (start, length) in enumerate(zip(cands.spans.start,
+                                            cands.spans.length)):
         toks = [t.lower() for t in
-                example.documents[0].tokens[sp.start:sp.end]]
+                example.documents[0].tokens[start:start + length]]
         expect = float(bool({"met", "vel", "tost"} & set(toks)))
         assert enc.gamma[i] == expect
 
@@ -134,10 +133,9 @@ def test_level1_scores_local_to_span_and_context(toy):
     enc2 = mdl.encode_example(mutated, cands2, table, ARCH)
     scores2, _ = run_tape(params, enc2)
     # spans in the first sentence (far from the mutation) keep exact scores
-    for i, sp in enumerate(cands.spans):
-        if sp.sentence_index == 0:
-            assert scores.phi1.value[i] == scores2.phi1.value[i]
-            assert scores.phi2.value[i] == scores2.phi2.value[i]
+    for i in np.flatnonzero(cands.spans.sentence == 0):
+        assert scores.phi1.value[i] == scores2.phi1.value[i]
+        assert scores.phi2.value[i] == scores2.phi2.value[i]
 
 
 def test_identical_spans_same_question_same_phi1(toy):
@@ -145,8 +143,8 @@ def test_identical_spans_same_question_same_phi1(toy):
     scores, _ = run_tape(params, enc)
     # mentions of one unique candidate in the same structural position
     by_unique = {}
-    for i, sp in enumerate(cands.spans):
-        by_unique.setdefault(sp.unique_id, []).append(i)
+    for i, uid in enumerate(cands.spans.unique.tolist()):
+        by_unique.setdefault(uid, []).append(i)
     # phi1 depends only on (span text, gamma, question): equal for mentions
     for mentions in by_unique.values():
         if len(mentions) > 1:
@@ -235,29 +233,44 @@ def test_level2_same_inputs_same_score():
 # aggregation semantics
 
 
+def take_spans(enc, rows):
+    """The encoded example with its span rows replaced by ``enc``'s rows
+    ``rows`` (a permutation, or with repeats); gold spans follow."""
+    gold = set(enc.gold_spans.tolist())
+    return dataclasses.replace(
+        enc, span_sentence=enc.span_sentence[rows],
+        span_unique=enc.span_unique[rows], gamma=enc.gamma[rows],
+        span_avg=enc.span_avg[rows], ctx_left=enc.ctx_left[rows],
+        ctx_right=enc.ctx_right[rows],
+        gold_spans=np.array([j for j, r in enumerate(rows) if r in gold],
+                            dtype=np.intp))
+
+
 def test_aggregation_mention_list_order_irrelevant(toy):
-    example, table, _, enc, params = toy
+    _, _, _, enc, params = toy
     scores, _ = run_tape(params, enc)
-    cands2 = build_candidates(example, ARCH.span_limit)
-    rng = np.random.default_rng(0)
-    for u in cands2.uniques:
-        rng.shuffle(u.mentions)
-    enc2 = mdl.encode_example(example, cands2, table, ARCH)
-    scores2, _ = run_tape(params, enc2)
-    assert scores.phi4.value.tobytes() == scores2.phi4.value.tobytes()
+    rows = np.random.default_rng(0).permutation(enc.n_spans)
+    shuffled = take_spans(enc, rows)
+    # the permutation reorders the mentions of some multi-mention unique
+    assert any(np.any(np.diff(rows[shuffled.span_unique == u]) < 0)
+               for u in np.flatnonzero(enc.mention_counts > 1))
+    scores2, _ = run_tape(params, shuffled)
+    # rows move with their spans; level 3 sums the mention rows in another
+    # order, and BLAS may round a row differently inside another batch
+    np.testing.assert_allclose(scores2.phi3.value[np.argsort(rows)],
+                               scores.phi3.value, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(scores2.phi4.value, scores.phi4.value,
+                               rtol=0, atol=1e-12)
 
 
 def test_aggregation_duplicated_mention_changes_score(toy):
-    example, table, cands, enc, params = toy
+    _, _, _, enc, params = toy
     scores, _ = run_tape(params, enc)
-    dup = build_candidates(example, ARCH.span_limit)
-    gold_span = next(sp for sp in dup.spans if sp.is_gold)
-    clone = copy.copy(gold_span)
-    dup.spans.append(clone)
-    dup.uniques[clone.unique_id].mentions.append(len(dup.spans) - 1)
-    enc2 = mdl.encode_example(example, dup, table, ARCH)
-    scores2, _ = run_tape(params, enc2)
-    uid = clone.unique_id
+    gold = int(enc.gold_spans[0])
+    dup = take_spans(enc, np.append(np.arange(enc.n_spans), gold))
+    assert dup.gold_spans.tolist() == enc.gold_spans.tolist() + [enc.n_spans]
+    scores2, _ = run_tape(params, dup)
+    uid = enc.span_unique[gold]
     assert scores.phi4.value[uid] != scores2.phi4.value[uid]
 
 

@@ -1,6 +1,8 @@
 """Objective, Adagrad, configuration wiring, and the training loop."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -286,3 +288,31 @@ def test_train_em_reported(tiny_corpus):
     result = train(train_ex, cfg, table)
     assert 0.0 <= result.metrics[0].train_em <= 1.0
     assert result.metrics[0].steps == len(train_ex)
+
+
+def test_training_step_tape_is_freed_without_cyclic_gc():
+    example, table = synth.gradcheck_instance(embed_dim=8, seed=13)
+    config = TrainConfig(hidden_width=8, dropout=0.2)
+    arch = config.arch(table.dimension)
+    params = mdl.CascadeParams.initialize(arch, 0)
+    enc = mdl.encode_example(example, build_candidates(example, arch.span_limit),
+                             table, arch)
+    state = AdagradState(config.learning_rate, config.accumulator_init)
+
+    def step():
+        tape = ad.Tape()
+        drop = ad.DropoutState(config.dropout, np.random.default_rng(0),
+                               training=True)
+        scores = mdl.forward_cascade(tape, params.bind(tape), enc, drop)
+        loss = multi_loss(scores, enc.gold_spans, enc.gold_uniques,
+                          config.weights)
+        adagrad_step(params.named_arrays(), tape.backward(loss), state)
+        return weakref.ref(tape)
+
+    gc.disable()
+    try:
+        dead_tape = step()
+        # reference counting alone frees it: the tape holds no cycle
+        assert dead_tape() is None
+    finally:
+        gc.enable()
