@@ -40,8 +40,8 @@ def main():
         train_ex, heldout, table)
     no_agg = run(
         "no aggregation",
-        training.ablation_config("level12_only", epochs=150, seed=0,
-                                 dropout=0.1, hidden_width=32),
+        training.TrainConfig(ablation="level12_only", epochs=150, seed=0,
+                             dropout=0.1, hidden_width=32),
         train_ex, heldout, table)
     print(f"\nheld-out gap (full - no aggregation): {full - no_agg:+.2f}")
 

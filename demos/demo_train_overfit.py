@@ -36,8 +36,8 @@ def main():
                                     hidden_width=32),
                train_ex, heldout, table)
     level1 = run("question+span",
-                 training.ablation_config("level1_qs_only", epochs=40, seed=0,
-                                          dropout=0.1, hidden_width=32),
+                 training.TrainConfig(ablation="level1_qs_only", epochs=40,
+                                      seed=0, dropout=0.1, hidden_width=32),
                  train_ex, heldout, table)
     print(f"\nheld-out gap (full - question+span): {full - level1:+.2f}")
 

@@ -54,7 +54,6 @@ from .training import (
     AdagradState,
     LossWeights,
     TrainConfig,
-    ablation_config,
     adagrad_step,
     multi_loss,
     parse_config_file,

@@ -68,26 +68,10 @@ class Tensor:
     def item(self) -> float:
         return float(self.value)
 
-    def __add__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         if not isinstance(other, Tensor):
             other = self.tape.constant(other)
         return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(idx={self.idx}, shape={self.value.shape})"
@@ -228,21 +212,6 @@ def add(a: Tensor, b) -> Tensor:
     else:
         raise DimensionError(f"cannot add shapes {av.shape} and {bv.shape}")
     return tape._push(av + bv, (a.idx, b.idx), back, op="add")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; equal shapes or one scalar operand."""
-    tape = _check_same_tape(a, b)
-    av, bv = a.value, b.value
-    if av.shape == bv.shape:
-        back = lambda g: (g * bv, g * av)
-    elif bv.ndim == 0:
-        back = lambda g: (g * bv, np.sum(g * av))
-    elif av.ndim == 0:
-        back = lambda g: (np.sum(g * bv), g * av)
-    else:
-        raise DimensionError(f"cannot multiply shapes {av.shape} and {bv.shape}")
-    return tape._push(av * bv, (a.idx, b.idx), back, op="mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:

@@ -76,28 +76,18 @@ def _load_corpus(path, config):
 
 
 def _resolve_train_config(args):
-    from .training import TrainConfig, ablation_config
+    from .training import TrainConfig, parse_config_file
 
-    mapping = {}
-    if args.config:
-        from .training import parse_config_file
-
-        mapping.update(parse_config_file(args.config))
+    mapping = parse_config_file(args.config) if args.config else {}
     for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
-    if args.epochs is not None:
-        mapping["epochs"] = str(args.epochs)
-    if args.seed is not None:
-        mapping["seed"] = str(args.seed)
-    ablation = args.ablation or mapping.pop("ablation", None)
-    base = ablation_config(ablation) if ablation else TrainConfig()
-    flat = base.as_flat_dict()
-    for key, value in mapping.items():
-        flat[key] = value
-    return TrainConfig.from_mapping(flat)
+    for key in ("epochs", "seed", "ablation"):
+        if getattr(args, key) is not None:
+            mapping[key] = str(getattr(args, key))
+    return TrainConfig.from_mapping(mapping)
 
 
 def cmd_train(args) -> int:
@@ -118,8 +108,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .training import TrainConfig
-
     params = load_checkpoint(args.checkpoint)
     table = _load_table(args.embeddings, params.arch.embed_dim, args.table_seed)
     if table.dimension != params.arch.embed_dim:
@@ -128,7 +116,6 @@ def cmd_eval(args) -> int:
             f"table dimension {table.dimension}"
         )
     limits = [int(x) for x in str(args.truncate).split(",")]
-    base_config = TrainConfig()
     _echo_config({
         "checkpoint": args.checkpoint, "data": args.data, "topk": args.topk,
         "truncate": args.truncate, "mode": args.mode,
@@ -154,9 +141,7 @@ def cmd_eval(args) -> int:
                 fh.write(f"{limit},{em:.6f},{oracle:.6f}\n")
         print(f"sweep written to {sweep_path}")
         return EXIT_OK
-    examples = load_examples(args.data, mode=args.mode, max_tokens=limits[0],
-                             max_sentences=base_config.max_sentences,
-                             max_sentence_len=base_config.max_sentence_len)
+    examples = load_examples(args.data, mode=args.mode, max_tokens=limits[0])
     if not examples:
         raise UsageError(f"no examples in {args.data}")
     report = evaluate(scorer, examples, k_max=args.topk)

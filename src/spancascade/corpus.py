@@ -282,12 +282,16 @@ def load_examples(
         for key in ("id", "question", "documents", "answers"):
             if key not in record:
                 raise ParseError(f"missing field {key!r}", line_number=lineno)
+        for key in ("id", "question"):
+            if not isinstance(record[key], str):
+                raise ParseError(f"field {key!r} must be a string",
+                                 line_number=lineno)
         for key in ("documents", "answers"):
             if not (isinstance(record[key], list)
                     and all(isinstance(x, str) for x in record[key])):
                 raise ParseError(f"field {key!r} must be an array of strings",
                                  line_number=lineno)
-        question = tokenize(str(record["question"])).tokens
+        question = tokenize(record["question"]).tokens
         if not question:
             raise ContractError(
                 f"line {lineno}: question of example {record['id']!r} "
@@ -306,7 +310,7 @@ def load_examples(
         ]
         if mode == "wiki":
             examples.append(
-                QAExample(str(record["id"]), question, docs, answers)
+                QAExample(record["id"], question, docs, answers)
             )
         else:
             for di, doc in enumerate(docs):

@@ -35,11 +35,14 @@ def normalize_answer(s: str) -> str:
 
 
 def exact_match(pred: str, aliases) -> int:
-    """1 iff the normalized prediction equals any normalized alias."""
+    """1 iff the normalized prediction equals any normalized alias.
+
+    An alias that normalizes to "" (e.g. "The The") matches nothing.
+    """
     if not aliases:
         raise ContractError("exact_match needs a non-empty alias list")
     p = normalize_answer(pred)
-    return int(any(p == normalize_answer(a) for a in aliases))
+    return int(bool(p) and any(p == normalize_answer(a) for a in aliases))
 
 
 def _f1_single(pred_tokens: Counter, alias: str) -> float:
@@ -178,7 +181,7 @@ def evaluate(scorer, examples, k_max: int = 5) -> EvalReport:
     for example in examples:
         scored = scorer(example)
         aliases = scored.aliases
-        alias_set = {normalize_answer(a) for a in aliases}
+        alias_set = {normalize_answer(a) for a in aliases} - {""}
         gold_idx = [
             i for i, text in enumerate(scored.candidates)
             if normalize_answer(text) in alias_set

@@ -18,6 +18,7 @@ set of inference on long documents.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, replace
@@ -253,7 +254,6 @@ class EncodedExample:
     """Numeric view of one example; everything here is parameter-free."""
 
     example_id: str
-    aliases: list
     question: np.ndarray        # (m, e)
     doc_embed: np.ndarray       # (n, e), documents concatenated
     sentence_ranges: list       # [start, end) over concatenated tokens
@@ -320,7 +320,6 @@ def encode_example(example: QAExample, cands: CandidateSet,
     ctx_right = (csums[hi] - csums[end]) / K
     return EncodedExample(
         example_id=example.example_id,
-        aliases=list(example.answers),
         question=q_embed,
         doc_embed=np.concatenate(mats or [np.zeros((0, arch.embed_dim))]),
         sentence_ranges=sentence_ranges,
@@ -717,6 +716,12 @@ def load_checkpoint(path) -> CascadeParams:
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a recognized checkpoint")
         header_len = int.from_bytes(fh.read(8), "little")
+        # nothing is read past the end of the file, so a corrupt size
+        # cannot ask for more memory than the file holds
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if header_len > remaining:
+            raise CheckpointError(f"{path}: truncated header")
+        remaining -= header_len
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -727,20 +732,25 @@ def load_checkpoint(path) -> CascadeParams:
         try:
             arch = Architecture(**header["arch"])
             seed = int(header["seed"])
-            specs = [(spec["name"], tuple(int(d) for d in spec["shape"]))
+            specs = [(str(spec["name"]), tuple(spec["shape"]))
                      for spec in header["tensors"]]
-        except (KeyError, TypeError, ValueError, ContractError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError,
+                ContractError) as exc:
             raise CheckpointError(
                 f"{path}: bad header ({type(exc).__name__}: {exc})") from None
         arrays = {}
         for name, shape in specs:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+            if not all(type(d) is int and d >= 0 for d in shape):
+                raise CheckpointError(
+                    f"{path}: tensor {name!r} has shape {list(shape)}; "
+                    "dimensions must be non-negative integers")
+            nbytes = 8 * math.prod(shape)
+            if nbytes > remaining:
                 raise CheckpointError(f"{path}: truncated tensor {name!r}")
+            remaining -= nbytes
+            raw = fh.read(nbytes)
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        trailing = fh.read(1)
-        if trailing:
+        if remaining:
             raise CheckpointError(f"{path}: trailing bytes after tensors")
     try:
         return CascadeParams.from_arrays(arch, seed, arrays)

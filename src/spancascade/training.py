@@ -56,7 +56,7 @@ class LossWeights:
 
     def __post_init__(self):
         vals = self.as_tuple()
-        if any(v < 0 for v in vals):
+        if not all(v >= 0 for v in vals):  # also rejects NaN
             raise ContractError(f"loss weights must be nonnegative, got {vals}")
         if abs(sum(vals) - 1.0) > 1e-9:
             raise ContractError(f"loss weights must sum to 1, got {sum(vals)!r}")
@@ -65,12 +65,37 @@ class LossWeights:
         return (self.level1_qs, self.level1_sc, self.level2, self.level3)
 
 
-SINGLE_LOSS_WEIGHTS = LossWeights(0.0, 0.0, 0.0, 1.0)
+LAMBDA_KEYS = ("lambda1", "lambda2", "lambda3", "lambda4")
+
+# name -> (Architecture wiring, default loss weights). "full" keeps every
+# level; "single_loss" trains only the aggregation level's objective;
+# "combined_level1" merges the two level-1 submodels into one net over span,
+# question and context; "level12_only" drops aggregation (prediction falls
+# back to span scores maxed over mentions); the "level1_*_only" variants keep
+# a single level-1 submodel and predict from its scores.
+ABLATIONS = {
+    "full": ({}, LossWeights()),
+    "single_loss": ({}, LossWeights(0.0, 0.0, 0.0, 1.0)),
+    # the combined head absorbs both level-1 coefficients
+    "combined_level1": ({"combined_level1": True},
+                        LossWeights(0.7, 0.0, 0.2, 0.1)),
+    # remaining coefficients renormalized proportionally
+    "level12_only": ({"use_level3": False},
+                     LossWeights(0.35 / 0.9, 0.35 / 0.9, 0.2 / 0.9, 0.0)),
+    "level1_qs_only": ({"level1_mode": "qs", "use_level2": False,
+                        "use_level3": False}, LossWeights(1.0, 0.0, 0.0, 0.0)),
+    "level1_sc_only": ({"level1_mode": "sc", "use_level2": False,
+                        "use_level3": False}, LossWeights(0.0, 1.0, 0.0, 0.0)),
+}
 
 
 @dataclass
 class TrainConfig:
-    """Everything a training run needs besides the data and embeddings."""
+    """Everything a training run needs besides the data and embeddings.
+
+    ``ablation`` names the cascade wiring (a key of ``ABLATIONS``);
+    ``weights`` defaults to that ablation's loss weights.
+    """
 
     epochs: int = 20
     seed: int = 0
@@ -80,24 +105,16 @@ class TrainConfig:
     hidden_width: int = 300
     span_limit: int = 5
     context_size: int = 1
-    weights: LossWeights = field(default_factory=LossWeights)
-    single_loss: bool = False
-    drop_level2: bool = False
-    drop_level3: bool = False
-    combined_level1: bool = False
-    level1_mode: str = "both"
+    weights: LossWeights = None  # None: the ablation's weights
+    ablation: str = "full"
     instance_mode: str = "wiki"
     max_tokens: int = 6000
     max_sentences: int = 1000
     max_sentence_len: int = 50
 
     def __post_init__(self):
-        # consistency rules: single_loss pins the weights; no attention
-        # level means no aggregation level either
-        if self.single_loss:
-            self.weights = SINGLE_LOSS_WEIGHTS
-        if self.drop_level2:
-            self.drop_level3 = True
+        if self.weights is None:
+            self.weights = _ablation(self.ablation)[1]
         self.validate()
 
     def validate(self):
@@ -107,19 +124,15 @@ class TrainConfig:
             raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.learning_rate <= 0 or self.accumulator_init <= 0:
             raise ContractError("learning rate and accumulator init must be > 0")
-        if self.level1_mode not in ("both", "qs", "sc"):
-            raise ContractError(f"bad level1_mode {self.level1_mode!r}")
         if self.instance_mode not in ("wiki", "web"):
             raise ContractError(f"bad instance_mode {self.instance_mode!r}")
-        w = self.weights
-        if w.level3 > 0 and self.drop_level3:
-            raise ContractError("level-3 loss weight set but level 3 is dropped")
-        if w.level2 > 0 and self.drop_level2:
-            raise ContractError("level-2 loss weight set but level 2 is dropped")
-        if w.level1_qs > 0 and self.level1_mode == "sc" and not self.combined_level1:
-            raise ContractError("question+span loss weight set but submodel off")
-        if w.level1_sc > 0 and (self.level1_mode == "qs" or self.combined_level1):
-            raise ContractError("span+context loss weight set but submodel off")
+        arch = self.arch(1)  # the wiring does not depend on the dimension
+        active = (arch.needs_question_nets, arch.m2_active, arch.use_level2,
+                  arch.use_level3)
+        for slot, (w, on) in enumerate(zip(self.weights.as_tuple(), active), 1):
+            if w > 0 and not on:
+                raise ContractError(f"lambda{slot} is {w} but ablation "
+                                    f"{self.ablation!r} turns that level off")
 
     def arch(self, embed_dim: int) -> Architecture:
         return Architecture(
@@ -127,10 +140,7 @@ class TrainConfig:
             hidden_width=self.hidden_width,
             span_limit=self.span_limit,
             context_size=self.context_size,
-            level1_mode=self.level1_mode,
-            use_level2=not self.drop_level2,
-            use_level3=not self.drop_level3,
-            combined_level1=self.combined_level1,
+            **_ablation(self.ablation)[0],
         )
 
     def as_flat_dict(self) -> dict:
@@ -139,57 +149,47 @@ class TrainConfig:
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
             if f.name == "weights":
-                out["lambda1"] = v.level1_qs
-                out["lambda2"] = v.level1_sc
-                out["lambda3"] = v.level2
-                out["lambda4"] = v.level3
+                out.update(zip(LAMBDA_KEYS, v.as_tuple()))
             else:
                 out[f.name] = v
         return out
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "TrainConfig":
-        """Build from flat string keys (config file / CLI overrides)."""
+        """Build from flat string keys (config file / CLI overrides).
+
+        A ``lambdaN`` key overrides its own slot of the ablation's weights.
+        """
         known = {f.name: f for f in dataclasses.fields(cls)}
         kwargs = {}
         lambdas = {}
-        defaults = LossWeights()
         for key, raw in mapping.items():
-            if key in ("lambda1", "lambda2", "lambda3", "lambda4"):
-                lambdas[key] = float(raw)
-                continue
-            if key == "ablation":
-                continue  # resolved by the caller before this point
-            if key not in known or key == "weights":
+            is_lambda = key in LAMBDA_KEYS
+            if not (is_lambda or key in known) or key == "weights":
                 raise UsageError(f"unknown config key {key!r}")
-            ftype = known[key].type
-            if ftype in ("int", int):
-                kwargs[key] = int(raw)
-            elif ftype in ("float", float):
-                kwargs[key] = float(raw)
-            elif ftype in ("bool", bool):
-                kwargs[key] = _parse_bool(key, raw)
+            ftype = "float" if is_lambda else known[key].type
+            try:
+                value = {"int": int, "float": float}.get(ftype, str)(raw)
+            except ValueError:
+                raise UsageError(f"config key {key!r} expects {ftype}, "
+                                 f"got {raw!r}") from None
+            if is_lambda:
+                lambdas[key] = value
             else:
-                kwargs[key] = str(raw)
+                kwargs[key] = value
         if lambdas:
+            base = _ablation(kwargs.get("ablation", "full"))[1].as_tuple()
             kwargs["weights"] = LossWeights(
-                lambdas.get("lambda1", defaults.level1_qs),
-                lambdas.get("lambda2", defaults.level1_sc),
-                lambdas.get("lambda3", defaults.level2),
-                lambdas.get("lambda4", defaults.level3),
-            )
+                *(lambdas.get(k, w) for k, w in zip(LAMBDA_KEYS, base)))
         return cls(**kwargs)
 
 
-def _parse_bool(key, raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    v = str(raw).strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"config key {key!r} expects a boolean, got {raw!r}")
+def _ablation(name: str):
+    if name not in ABLATIONS:
+        raise UsageError(
+            f"unknown ablation {name!r}; valid names: {', '.join(sorted(ABLATIONS))}"
+        )
+    return ABLATIONS[name]
 
 
 def parse_config_file(path) -> dict:
@@ -205,51 +205,6 @@ def parse_config_file(path) -> dict:
             key, value = line.split("=", 1)
             mapping[key.strip()] = value.strip()
     return mapping
-
-
-ABLATIONS = {
-    "full": {},
-    "single_loss": {"single_loss": True},
-    "combined_level1": {
-        "combined_level1": True,
-        # the combined head absorbs both level-1 coefficients
-        "weights": LossWeights(0.7, 0.0, 0.2, 0.1),
-    },
-    "level12_only": {
-        "drop_level3": True,
-        # remaining coefficients renormalized proportionally
-        "weights": LossWeights(0.35 / 0.9, 0.35 / 0.9, 0.2 / 0.9, 0.0),
-    },
-    "level1_qs_only": {
-        "drop_level2": True,
-        "level1_mode": "qs",
-        "weights": LossWeights(1.0, 0.0, 0.0, 0.0),
-    },
-    "level1_sc_only": {
-        "drop_level2": True,
-        "level1_mode": "sc",
-        "weights": LossWeights(0.0, 1.0, 0.0, 0.0),
-    },
-}
-
-
-def ablation_config(name: str, **overrides) -> TrainConfig:
-    """Named reduced-cascade configurations.
-
-    "full" keeps everything; "single_loss" trains only the aggregation
-    level's objective; "combined_level1" merges the two level-1 submodels
-    into one net over span, question and context; "level12_only" drops
-    aggregation (prediction falls back to span scores maxed over
-    mentions); the "level1_*_only" variants keep a single level-1 submodel
-    and predict from its scores.
-    """
-    if name not in ABLATIONS:
-        raise UsageError(
-            f"unknown ablation {name!r}; valid names: {', '.join(sorted(ABLATIONS))}"
-        )
-    kwargs = dict(ABLATIONS[name])
-    kwargs.update(overrides)
-    return TrainConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from spancascade.bench import run_benchmark
 from spancascade.corpus import Document, QAExample, build_candidates, tokenize
 from spancascade.embeddings import random_table
 from spancascade.evaluation import evaluate, exact_match, token_f1
-from spancascade.training import LossWeights, TrainConfig, ablation_config
+from spancascade.training import LossWeights, TrainConfig
 
 
 def _status(name, detail):
@@ -219,8 +219,8 @@ def test_overfit_multiloss_beats_level1_ablation():
     full_heldout = evaluate(model.make_scorer(full.params, table), heldout).em
     level1 = training.train(
         train_ex,
-        ablation_config("level1_qs_only", epochs=40, seed=0, dropout=0.1,
-                        hidden_width=32),
+        TrainConfig(ablation="level1_qs_only", epochs=40, seed=0, dropout=0.1,
+                    hidden_width=32),
         table)
     level1_heldout = evaluate(
         model.make_scorer(level1.params, table), heldout).em
@@ -245,8 +245,8 @@ def test_multimention_beats_no_aggregation_by_10_points():
     full_em = evaluate(model.make_scorer(full.params, table), heldout).em
     no_agg = training.train(
         train_ex,
-        ablation_config("level12_only", epochs=150, seed=0, dropout=0.1,
-                        hidden_width=32),
+        TrainConfig(ablation="level12_only", epochs=150, seed=0, dropout=0.1,
+                    hidden_width=32),
         table)
     no_agg_em = evaluate(model.make_scorer(no_agg.params, table), heldout).em
     _status("multi-mention advantage",

@@ -74,6 +74,21 @@ def test_train_ablation_resolves_weights(tmp_path, corpus_path,
     assert "lambda4 = 1.0" in out and "lambda1 = 0.0" in out
 
 
+@pytest.mark.parametrize("key", [
+    "single_loss", "drop_level2", "drop_level3", "combined_level1",
+    "level1_mode",
+])
+def test_train_removed_wiring_key_is_usage_error(tmp_path, corpus_path,
+                                                 embeddings_path, key, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = true\n")
+    base = ["train", "--data", corpus_path, "--embeddings", embeddings_path,
+            "--dim", "8", "--out", str(tmp_path / "out")]
+    for extra in (["--set", f"{key}=true"], ["--config", str(conf)]):
+        assert main(base + extra) == EXIT_USAGE
+        assert repr(key) in capsys.readouterr().err
+
+
 def test_eval_prints_metrics_and_writes_reports(tmp_path, corpus_path,
                                                 embeddings_path, trained_dir,
                                                 capsys):
@@ -127,6 +142,22 @@ def test_train_non_object_corpus_line_is_io_error(tmp_path, corpus_path,
     assert "line 2: expected a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("question", ["who", "is"]), ("id", 7),
+])
+def test_train_non_string_corpus_field_is_io_error(tmp_path, corpus_path,
+                                                   embeddings_path, field,
+                                                   value, capsys):
+    data = tmp_path / "corpus.jsonl"
+    with open(corpus_path) as fh:
+        record = json.loads(fh.readline())
+    data.write_text(json.dumps({**record, field: value}) + "\n")
+    code = main(["train", "--data", str(data), "--embeddings", embeddings_path,
+                 "--dim", "8", "--out", str(tmp_path / "out")])
+    assert code == EXIT_IO
+    assert f"line 1: field '{field}' must be a string" in capsys.readouterr().err
+
+
 def test_eval_bad_checkpoint(tmp_path, corpus_path, embeddings_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")
@@ -172,19 +203,28 @@ def _rewrite_header(src, dst, change):
                     + data[magic + 8 + size:])
 
 
-def _transpose_ffnn_qs_v(header):
-    spec = next(t for t in header["tensors"] if t["name"] == "ffnn_qs.V")
-    spec["shape"] = spec["shape"][::-1]
-    return header
+def _ffnn_qs_v_shape(shape_of):
+    """A header change that sets ffnn_qs.V's shape to ``shape_of(shape)``."""
+    def change(header):
+        spec = next(t for t in header["tensors"] if t["name"] == "ffnn_qs.V")
+        spec["shape"] = shape_of(spec["shape"])
+        return header
+    return change
 
 
 @pytest.mark.parametrize("change", [
     lambda h: {**h, "arch": {**h["arch"], "not_a_field": 1}},
     lambda h: {k: v for k, v in h.items() if k != "seed"},
-    _transpose_ffnn_qs_v,
+    _ffnn_qs_v_shape(lambda s: s[::-1]),
     lambda h: [h],
+    _ffnn_qs_v_shape(lambda s: [-3]),
+    _ffnn_qs_v_shape(lambda s: [10**12]),
+    _ffnn_qs_v_shape(lambda s: [10**20]),
+    # truncating int() would read [8.7, 18] as the right shape [8, 18]
+    _ffnn_qs_v_shape(lambda s: [s[0] + 0.7] + s[1:]),
 ], ids=["unknown-arch-key", "missing-seed", "transposed-tensor",
-        "header-not-an-object"])
+        "header-not-an-object", "negative-shape", "huge-shape",
+        "overflowing-shape", "fractional-shape"])
 def test_predict_corrupt_checkpoint_header(tmp_path, embeddings_path,
                                            trained_dir, change, capsys):
     bad = tmp_path / "bad.ckpt"

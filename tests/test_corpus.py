@@ -363,6 +363,19 @@ def test_load_examples_fields_must_be_string_arrays(field, value):
         load_examples(line + "\n")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("question", '["who", "is"]'), ("question", "3"), ("question", "null"),
+    ("id", "7"), ("id", '["q"]'),
+])
+def test_load_examples_id_and_question_must_be_strings(field, value):
+    record = {"id": '"q"', "question": '"who ?"', "documents": '["a b ."]',
+              "answers": '["a"]', field: value}
+    line = "{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}"
+    with pytest.raises(ParseError,
+                       match=f"line 2: field '{field}' must be a string"):
+        load_examples(GOOD_LINE + "\n" + line + "\n")
+
+
 def test_load_examples_applies_truncation():
     docs = " ".join(["w"] * 100)
     line = ('{"id": "q", "question": "what ?", "documents": ["%s"], '

@@ -39,6 +39,9 @@ def test_exact_match_alias_set():
     assert exact_match("Jackson Pollock", ALIASES) == 1
     assert exact_match("pollock", ALIASES) == 1
     assert exact_match("Krasner", ALIASES) == 0
+    # an alias that normalizes to "" matches nothing, not even itself
+    assert exact_match(".", ["The The"]) == 0
+    assert exact_match("The The", ["The The", "Pollock"]) == 0
     with pytest.raises(ContractError):
         exact_match("x", [])
 
@@ -66,11 +69,15 @@ def test_token_f1_multiset_counts_duplicates():
 
 def test_f1_at_least_em():
     rng = np.random.default_rng(1)
-    vocab = ["alpha", "beta", "gamma", "delta"]
-    for _ in range(100):
-        pred = " ".join(vocab[i] for i in rng.integers(0, 4, rng.integers(1, 4)))
-        alias = " ".join(vocab[i] for i in rng.integers(0, 4, rng.integers(1, 4)))
-        assert token_f1(pred, [alias]) >= exact_match(pred, [alias])
+    # articles and punctuation let predictions and aliases normalize to ""
+    vocab = ["alpha", "beta", "gamma", "delta", "the", "a", ".", ","]
+    pairs = [(".", "The The"), ("the", "a ."), ("", ","), ("alpha", "an")]
+    for _ in range(300):
+        pred = " ".join(vocab[i] for i in rng.integers(0, 8, rng.integers(1, 4)))
+        alias = " ".join(vocab[i] for i in rng.integers(0, 8, rng.integers(1, 4)))
+        pairs.append((pred, alias))
+    for pred, alias in pairs:
+        assert token_f1(pred, [alias]) >= exact_match(pred, [alias]), (pred, alias)
 
 
 def test_frequency_buckets():
@@ -100,6 +107,15 @@ def test_evaluate_perfect_model():
     assert report.top_k_accuracy[0] == (1, 1.0)
     assert report.oracle_em == 1.0
     assert report.predicted_frequency_hist["2-5"] == 2
+
+
+def test_evaluate_alias_normalizing_to_empty_is_never_gold():
+    def scorer(ex):
+        return _scored(ex, ["The The"], [".", "the band"], [5.0, 1.0], [1, 1])
+
+    report = evaluate(scorer, ["e1"], k_max=2)
+    assert report.em == 0.0 and report.f1 == 0.0 and report.oracle_em == 0.0
+    assert report.top_k_accuracy == [(1, 0.0), (2, 0.0)]
 
 
 def test_evaluate_top1_equals_em_and_topk_monotone():

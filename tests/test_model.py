@@ -313,7 +313,7 @@ def test_distributions_empty_raises():
 
 def _fake_enc(n_unique, surfaces=None, counts=None):
     enc = mdl.EncodedExample(
-        example_id="f", aliases=[], question=np.zeros((1, 2)),
+        example_id="f", question=np.zeros((1, 2)),
         doc_embed=np.zeros((0, 2)), sentence_ranges=[],
         span_sentence=np.zeros(0, dtype=np.intp),
         span_unique=np.zeros(0, dtype=np.intp), gamma=np.zeros(0),
@@ -455,10 +455,10 @@ def test_inference_audit_mode_collects_probability_vectors(toy):
 
 
 def test_ablation_architectures_score(toy):
-    from spancascade.training import ablation_config
+    from spancascade.training import TrainConfig
 
     example, table, _, _, _ = toy
-    q_only = ablation_config("level1_qs_only", hidden_width=8)
+    q_only = TrainConfig(ablation="level1_qs_only", hidden_width=8)
     arch = q_only.arch(8)
     params = mdl.CascadeParams.initialize(arch, 0)
     cands = build_candidates(example, arch.span_limit)

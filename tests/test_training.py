@@ -21,7 +21,6 @@ from spancascade.training import (
     AdagradState,
     LossWeights,
     TrainConfig,
-    ablation_config,
     adagrad_step,
     multi_loss,
     parse_config_file,
@@ -35,6 +34,8 @@ def test_loss_weights_validation():
         LossWeights(0.5, 0.5, 0.5, -0.5)
     with pytest.raises(ContractError):
         LossWeights(0.5, 0.5, 0.5, 0.5)
+    with pytest.raises(ContractError, match="nonnegative"):
+        LossWeights(float("nan"), 0.5, 0.5, 0.0)
 
 
 def test_default_weights_match_tuned_optimum():
@@ -43,35 +44,52 @@ def test_default_weights_match_tuned_optimum():
 
 
 def test_config_single_loss_forces_weights():
-    cfg = TrainConfig(single_loss=True)
+    cfg = TrainConfig(ablation="single_loss")
     assert cfg.weights.as_tuple() == (0.0, 0.0, 0.0, 1.0)
-
-
-def test_config_drop_level2_implies_drop_level3():
-    cfg = TrainConfig(drop_level2=True, level1_mode="qs",
-                      weights=LossWeights(1, 0, 0, 0))
-    assert cfg.drop_level3
+    # given weights override the ablation's defaults
+    cfg = TrainConfig(ablation="single_loss", weights=LossWeights())
+    assert cfg.weights == LossWeights()
 
 
 def test_config_rejects_weight_for_inactive_level():
-    with pytest.raises(ContractError):
-        TrainConfig(drop_level3=True)  # default lambda4 = 0.1 > 0
-    with pytest.raises(ContractError):
-        TrainConfig(level1_mode="qs")  # default lambda2 = 0.35 > 0
+    cases = [
+        ("level12_only", LossWeights()),  # lambda4 = 0.1 > 0
+        ("level1_qs_only", LossWeights(0.5, 0.5, 0.0, 0.0)),
+        ("level1_qs_only", LossWeights(0.5, 0.0, 0.5, 0.0)),
+        ("level1_sc_only", LossWeights(0.5, 0.5, 0.0, 0.0)),
+        ("combined_level1", LossWeights()),  # lambda2 = 0.35 > 0
+    ]
+    for ablation, weights in cases:
+        with pytest.raises(ContractError, match=ablation):
+            TrainConfig(ablation=ablation, weights=weights)
+    with pytest.raises(ContractError, match="lambda2"):
+        TrainConfig.from_mapping({"ablation": "level1_qs_only",
+                                  "lambda1": "0.5", "lambda2": "0.5"})
 
 
 def test_config_from_mapping_and_unknown_key():
     cfg = TrainConfig.from_mapping({
         "epochs": "3", "seed": "9", "dropout": "0.2", "lambda1": "0.5",
         "lambda2": "0.5", "lambda3": "0", "lambda4": "0",
-        "drop_level2": "true",
+        "ablation": "level12_only",
     })
     assert cfg.epochs == 3 and cfg.seed == 9 and cfg.dropout == 0.2
     assert cfg.weights.as_tuple() == (0.5, 0.5, 0.0, 0.0)
+    assert not cfg.arch(8).use_level3
+    # a lambda overrides only its own slot of the ablation's weights
+    cfg = TrainConfig.from_mapping({"ablation": "single_loss",
+                                    "lambda3": "0.5", "lambda4": "0.5"})
+    assert cfg.weights.as_tuple() == (0.0, 0.0, 0.5, 0.5)
+    with pytest.raises(ContractError, match="sum to 1"):
+        TrainConfig.from_mapping({"ablation": "single_loss", "lambda3": "0.5"})
     with pytest.raises(UsageError, match="bogus_key"):
         TrainConfig.from_mapping({"bogus_key": "1"})
-    with pytest.raises(UsageError):
-        TrainConfig.from_mapping({"drop_level2": "maybe"})
+    with pytest.raises(UsageError, match="'single_loss'"):
+        TrainConfig.from_mapping({"single_loss": "true"})
+    for key, raw in (("epochs", "abc"), ("dropout", "x"), ("lambda1", "")):
+        with pytest.raises(UsageError, match=f"'{key}' expects"):
+            TrainConfig.from_mapping({key: raw})
+    assert len(TrainConfig().as_flat_dict()) == 17
 
 
 def test_parse_config_file(tmp_path):
@@ -85,21 +103,25 @@ def test_parse_config_file(tmp_path):
 
 
 def test_ablation_config_names():
-    assert ablation_config("single_loss").weights.as_tuple() == (0, 0, 0, 1)
-    full = ablation_config("full")
+    single = TrainConfig(ablation="single_loss")
+    assert single.weights.as_tuple() == (0, 0, 0, 1)
+    assert single.arch(8) == TrainConfig().arch(8)
+    full = TrainConfig(ablation="full")
     assert full.weights.as_tuple() == (0.35, 0.35, 0.2, 0.1)
-    qs = ablation_config("level1_qs_only")
-    assert qs.level1_mode == "qs" and qs.drop_level2 and qs.drop_level3
-    arch = qs.arch(8)
-    assert arch.m1_active and not arch.m2_active and not arch.use_level2
-    combined = ablation_config("combined_level1")
-    assert combined.combined_level1
+    arch = TrainConfig(ablation="level1_qs_only").arch(8)
+    assert arch.level1_mode == "qs"
+    assert arch.m1_active and not arch.m2_active
+    assert not arch.use_level2 and not arch.use_level3
+    arch = TrainConfig(ablation="level1_sc_only").arch(8)
+    assert arch.m2_active and not arch.m1_active and not arch.use_level2
+    combined = TrainConfig(ablation="combined_level1")
+    assert combined.arch(8).combined_level1
     assert combined.weights.level1_qs == pytest.approx(0.7)
-    l12 = ablation_config("level12_only")
-    assert l12.drop_level3 and not l12.drop_level2
+    l12 = TrainConfig(ablation="level12_only")
+    assert l12.arch(8).use_level2 and not l12.arch(8).use_level3
     assert sum(l12.weights.as_tuple()) == pytest.approx(1.0)
     with pytest.raises(UsageError, match="valid names"):
-        ablation_config("not_a_thing")
+        TrainConfig(ablation="not_a_thing")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +287,7 @@ def _grads_for(cfg, table, example):
 
 def test_single_loss_score_heads_get_exact_zero_gradient(tiny_corpus):
     train_ex, _, table = tiny_corpus
-    grads = _grads_for(TrainConfig(hidden_width=8, single_loss=True),
+    grads = _grads_for(TrainConfig(hidden_width=8, ablation="single_loss"),
                        table, train_ex[0])
     for head in ("linear_qs", "linear_c", "linear_l2"):
         assert np.all(grads[f"{head}.w"] == 0.0)
