@@ -547,13 +547,10 @@ class FfnnParams:
     U: object
     b: object
 
-    @property
-    def width(self) -> int:
-        return _shape_of(self.U)[0]
-
-    @property
-    def in_dim(self) -> int:
-        return _shape_of(self.V)[1]
+    @staticmethod
+    def shapes(in_dim: int, width: int) -> tuple:
+        """Shapes of V, a, U, b, in field order."""
+        return (width, in_dim), (width,), (width, width), (width,)
 
     @classmethod
     def initialize(cls, in_dim: int, width: int, rng: np.random.Generator):
@@ -576,13 +573,14 @@ class LinearParams:
     w: object
     z: object
 
+    @staticmethod
+    def shapes(in_dim: int, width: int) -> tuple:
+        """Shapes of w, z, in field order."""
+        return (in_dim,), ()
+
     @classmethod
     def initialize(cls, in_dim: int, rng: np.random.Generator):
         return cls(w=_uniform_init(rng, in_dim), z=np.zeros(()))
-
-
-def _shape_of(x):
-    return x.value.shape if isinstance(x, Tensor) else x.shape
 
 
 def _uniform_init(rng: np.random.Generator, *shape) -> Array:
@@ -660,7 +658,7 @@ def ffnn(x: Tensor, p: FfnnParams, drop: DropoutState | None = None) -> Tensor:
 def linear(h: Tensor, p: LinearParams) -> Tensor:
     """Score head: scalar for a vector input, one score per matrix row."""
     w, z = p.w, p.z
-    wdim = _shape_of(w)[0]
+    wdim = w.value.shape[0]
     hs = h.value.shape
     if h.value.ndim == 1:
         if hs[0] != wdim:
@@ -671,23 +669,6 @@ def linear(h: Tensor, p: LinearParams) -> Tensor:
             raise DimensionError(f"linear input shape {hs} vs weight shape ({wdim},)")
         return add(matmul(h, w), z)
     raise DimensionError(f"linear input must be 1-D or 2-D, got shape {hs}")
-
-
-def bind_ffnn(tape: Tape, p: FfnnParams, prefix: str) -> FfnnParams:
-    """Register an ffnn's arrays as named tape variables."""
-    return FfnnParams(
-        V=tape.variable(p.V, f"{prefix}.V"),
-        a=tape.variable(p.a, f"{prefix}.a"),
-        U=tape.variable(p.U, f"{prefix}.U"),
-        b=tape.variable(p.b, f"{prefix}.b"),
-    )
-
-
-def bind_linear(tape: Tape, p: LinearParams, prefix: str) -> LinearParams:
-    return LinearParams(
-        w=tape.variable(p.w, f"{prefix}.w"),
-        z=tape.variable(p.z, f"{prefix}.z"),
-    )
 
 
 # ---------------------------------------------------------------------------

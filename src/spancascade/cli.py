@@ -110,11 +110,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
     table = _load_table(args.embeddings, params.arch.embed_dim, args.table_seed)
-    if table.dimension != params.arch.embed_dim:
-        raise CheckpointError(
-            f"checkpoint embed_dim {params.arch.embed_dim} does not match "
-            f"table dimension {table.dimension}"
-        )
     limits = [int(x) for x in str(args.truncate).split(",")]
     _echo_config({
         "checkpoint": args.checkpoint, "data": args.data, "topk": args.topk,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParseError
-from .evaluation import normalize_answer
+from .evaluation import gold_indices
 
 _PUNCT = set(string.punctuation)
 _SENTENCE_ENDERS = {".", "?", "!"}
@@ -188,10 +188,10 @@ def build_candidates(example: QAExample,
     Spans are the within-sentence windows of length 1..span_limit (a
     sentence of G tokens yields sum over o of (G - o + 1) of them). Spans
     with the same lowercased text share a unique, numbered in first-mention
-    order. A unique is gold when its normalized text equals a normalized
-    alias other than ""; an empty alias list (prediction-only use) marks
-    nothing. ``gamma`` flags spans that hold a question token which is
-    neither a stopword nor punctuation.
+    order. A unique is gold when its text matches an alias
+    (``evaluation.gold_indices``); an empty alias list (prediction-only
+    use) marks nothing. ``gamma`` flags spans that hold a question token
+    which is neither a stopword nor punctuation.
     """
     if span_limit < 1:
         raise ContractError(f"span limit must be >= 1, got {span_limit}")
@@ -227,13 +227,9 @@ def build_candidates(example: QAExample,
     rank = np.argsort(np.argsort(first))
     first = np.sort(first)
 
-    aliases = {normalize_answer(a) for a in example.answers} - {""}
-    surfaces, gold = [], []
-    for uid, (b, n) in enumerate(zip(begin[first].tolist(),
-                                     length[first].tolist())):
-        surfaces.append(" ".join(raw[b:b + n]))
-        if aliases and normalize_answer(" ".join(lowered[b:b + n])) in aliases:
-            gold.append(uid)
+    surfaces = [" ".join(raw[b:b + n])
+                for b, n in zip(begin[first].tolist(), length[first].tolist())]
+    gold = gold_indices(surfaces, example.answers)
 
     content = [vocab[t] for t in {t.lower() for t in example.question}
                if t in vocab and t not in STOPWORDS

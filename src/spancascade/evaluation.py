@@ -34,15 +34,25 @@ def normalize_answer(s: str) -> str:
     return " ".join(tokens)
 
 
-def exact_match(pred: str, aliases) -> int:
-    """1 iff the normalized prediction equals any normalized alias.
+def gold_indices(texts, aliases) -> list[int]:
+    """Indices of the texts that match an alias: the gold rule.
 
-    An alias that normalizes to "" (e.g. "The The") matches nothing.
+    A text matches when its normalized form equals a normalized alias
+    other than "", so an alias like "The The" matches nothing and an
+    empty alias list marks nothing gold.
     """
+    alias_set = {normalize_answer(a) for a in aliases} - {""}
+    if not alias_set:
+        return []
+    return [i for i, text in enumerate(texts)
+            if normalize_answer(text) in alias_set]
+
+
+def exact_match(pred: str, aliases) -> int:
+    """1 iff the prediction matches an alias under ``gold_indices``' rule."""
     if not aliases:
         raise ContractError("exact_match needs a non-empty alias list")
-    p = normalize_answer(pred)
-    return int(bool(p) and any(p == normalize_answer(a) for a in aliases))
+    return int(bool(gold_indices([pred], aliases)))
 
 
 def _f1_single(pred_tokens: Counter, alias: str) -> float:
@@ -181,11 +191,7 @@ def evaluate(scorer, examples, k_max: int = 5) -> EvalReport:
     for example in examples:
         scored = scorer(example)
         aliases = scored.aliases
-        alias_set = {normalize_answer(a) for a in aliases} - {""}
-        gold_idx = [
-            i for i, text in enumerate(scored.candidates)
-            if normalize_answer(text) in alias_set
-        ]
+        gold_idx = gold_indices(scored.candidates, aliases)
         gold_freq = int(sum(scored.mention_counts[i] for i in gold_idx))
         if gold_idx:
             oracle_hits += 1
@@ -201,10 +207,8 @@ def evaluate(scorer, examples, k_max: int = 5) -> EvalReport:
         prediction = scored.candidates[best]
         em = exact_match(prediction, aliases)
         f1 = token_f1(prediction, aliases)
-        matched = None
-        if em:
-            p = normalize_answer(prediction)
-            matched = next(a for a in aliases if normalize_answer(a) == p)
+        # the rule is symmetric: the first alias the prediction matches
+        matched = aliases[gold_indices(aliases, [prediction])[0]] if em else None
         gold_set = set(gold_idx)
         first_hit = next(
             (rank for rank, i in enumerate(order) if i in gold_set), None

@@ -32,8 +32,6 @@ from .autodiff import (
     LinearParams,
     Tape,
     Tensor,
-    bind_ffnn,
-    bind_linear,
     ffnn,
     linear,
 )
@@ -44,6 +42,7 @@ from .errors import (
     ContractError,
     DimensionError,
     EmptyCandidateError,
+    NonFiniteError,
 )
 from .evaluation import ScoredExample
 
@@ -142,18 +141,10 @@ class CascadeParams:
     ffnn_l3: FfnnParams | None = None
     linear_l3: LinearParams | None = None
 
-    _FFNN_FIELDS = (
-        "ffnn_q", "ffnn_qs", "ffnn_c", "ffnn_comb",
-        "ffnn_att1", "ffnn_att2", "ffnn_l2", "ffnn_agg", "ffnn_l3",
-    )
-    _LINEAR_FIELDS = (
-        "linear_q", "linear_qs", "linear_c", "linear_comb",
-        "linear_l2", "linear_l3",
-    )
-
     @classmethod
     def _submodel_dims(cls, arch: Architecture) -> dict:
-        """Active submodels and their input dims, in initialization order."""
+        """The one list of submodels: the active ``ffnn_*`` nets and
+        ``linear_*`` heads with their input dims, in initialization order."""
         e, w = arch.embed_dim, arch.hidden_width
         dims = {}
         if arch.needs_question_nets:
@@ -186,19 +177,17 @@ class CascadeParams:
                 setattr(p, name, LinearParams.initialize(in_dim, rng))
         return p
 
+    def _active(self) -> list:
+        """(name, submodel) pairs: nets, then heads, each in _submodel_dims
+        order; this is the checkpoint and tape-variable order."""
+        names = sorted(self._submodel_dims(self.arch),
+                       key=lambda name: name.startswith("linear"))
+        return [(name, getattr(self, name)) for name in names]
+
     def named_arrays(self) -> list:
         """(name, array) pairs in a fixed order; the flat parameter view."""
-        out = []
-        for name in self._FFNN_FIELDS:
-            net = getattr(self, name)
-            if net is not None:
-                out += [(f"{name}.V", net.V), (f"{name}.a", net.a),
-                        (f"{name}.U", net.U), (f"{name}.b", net.b)]
-        for name in self._LINEAR_FIELDS:
-            net = getattr(self, name)
-            if net is not None:
-                out += [(f"{name}.w", net.w), (f"{name}.z", net.z)]
-        return out
+        return [(f"{name}.{part.name}", getattr(net, part.name))
+                for name, net in self._active() for part in fields(net)]
 
     def as_dict(self) -> dict:
         return dict(self.named_arrays())
@@ -206,34 +195,26 @@ class CascadeParams:
     def bind(self, tape: Tape) -> "CascadeParams":
         """Register every array as a named tape variable; returns the bound view."""
         bound = replace(self)
-        for name in self._FFNN_FIELDS:
-            net = getattr(self, name)
-            if net is not None:
-                setattr(bound, name, bind_ffnn(tape, net, name))
-        for name in self._LINEAR_FIELDS:
-            net = getattr(self, name)
-            if net is not None:
-                setattr(bound, name, bind_linear(tape, net, name))
+        for name, net in self._active():
+            setattr(bound, name, type(net)(*[
+                tape.variable(getattr(net, part.name), f"{name}.{part.name}")
+                for part in fields(net)]))
         return bound
 
     @classmethod
     def from_arrays(cls, arch: Architecture, seed: int, arrays: dict) -> "CascadeParams":
         """Rebuild from a {name: array} mapping (checkpoint load).
 
-        Every tensor must be present with the shape the architecture
-        implies; the arrays are used as given, not copied.
+        The mapping must hold exactly the architecture's tensors, each with
+        the shape it implies; the arrays are used as given, not copied.
         """
-        w = arch.hidden_width
         p = cls(arch=arch, seed=int(seed))
         for name, in_dim in cls._submodel_dims(arch).items():
-            if name.startswith("ffnn"):
-                kind = FfnnParams
-                shapes = {"V": (w, in_dim), "a": (w,), "U": (w, w), "b": (w,)}
-            else:
-                kind, shapes = LinearParams, {"w": (in_dim,), "z": ()}
+            kind = FfnnParams if name.startswith("ffnn") else LinearParams
             values = []
-            for part, shape in shapes.items():
-                key = f"{name}.{part}"
+            for part, shape in zip(fields(kind),
+                                   kind.shapes(in_dim, arch.hidden_width)):
+                key = f"{name}.{part.name}"
                 if key not in arrays:
                     raise CheckpointError(f"missing tensor {key!r}")
                 if np.shape(arrays[key]) != shape:
@@ -242,6 +223,10 @@ class CascadeParams:
                         f"the architecture needs {shape}")
                 values.append(arrays[key])
             setattr(p, name, kind(*values))
+        unexpected = arrays.keys() - p.as_dict().keys()
+        if unexpected:
+            raise CheckpointError(
+                f"tensor {min(unexpected)!r} is not part of the architecture")
         return p
 
 
@@ -638,17 +623,19 @@ def score_example(params: CascadeParams, enc: EncodedExample,
     """Inference-mode scores: ``forward_cascade`` on a non-recording tape.
 
     No dropout and no recorded nodes; BLAS threads are the only
-    parallelism, so ``workers`` accepts 1 alone. Raises ContractError on a
-    non-finite score.
+    parallelism, so ``workers`` accepts 1 alone. Raises NonFiniteError on
+    a non-finite score.
     """
     if workers != 1:
         raise ContractError(f"workers must be 1, got {workers}")
     tape = Tape(record=False)
-    scores = forward_cascade(tape, params.bind(tape), enc, stats=stats).values()
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        scores = forward_cascade(tape, params.bind(tape), enc,
+                                 stats=stats).values()
     for phi in (scores.phi1, scores.phi2, scores.phi_comb, scores.phi3,
                 scores.phi4):
         if phi is not None and not np.all(np.isfinite(phi)):
-            raise ContractError("non-finite score at inference")
+            raise NonFiniteError("non-finite score at inference")
     return scores
 
 
@@ -748,8 +735,13 @@ def load_checkpoint(path) -> CascadeParams:
             if nbytes > remaining:
                 raise CheckpointError(f"{path}: truncated tensor {name!r}")
             remaining -= nbytes
+            if name in arrays:
+                raise CheckpointError(f"{path}: tensor {name!r} is listed twice")
             raw = fh.read(nbytes)
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.all(np.isfinite(arrays[name])):
+                raise CheckpointError(
+                    f"{path}: tensor {name!r} holds non-finite values")
         if remaining:
             raise CheckpointError(f"{path}: trailing bytes after tensors")
     try:

@@ -13,6 +13,7 @@ from spancascade.cli import (
     EXIT_USAGE,
     main,
 )
+from spancascade.model import load_checkpoint, save_checkpoint
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -222,21 +223,50 @@ def _ffnn_qs_v_shape(shape_of):
     _ffnn_qs_v_shape(lambda s: [10**20]),
     # truncating int() would read [8.7, 18] as the right shape [8, 18]
     _ffnn_qs_v_shape(lambda s: [s[0] + 0.7] + s[1:]),
+    # level 3 switched off while its ten tensors stay listed
+    lambda h: {**h, "arch": {**h["arch"], "use_level3": False}},
 ], ids=["unknown-arch-key", "missing-seed", "transposed-tensor",
         "header-not-an-object", "negative-shape", "huge-shape",
-        "overflowing-shape", "fractional-shape"])
+        "overflowing-shape", "fractional-shape", "unexpected-tensors"])
 def test_predict_corrupt_checkpoint_header(tmp_path, embeddings_path,
                                            trained_dir, change, capsys):
     bad = tmp_path / "bad.ckpt"
     _rewrite_header(trained_dir / "checkpoint.ckpt", bad, change)
+    assert _predict_prelt(tmp_path, embeddings_path, bad) == EXIT_IO
+    assert str(bad) in capsys.readouterr().err
+
+
+def _predict_prelt(tmp_path, embeddings_path, checkpoint):
     doc = tmp_path / "doc.txt"
     doc.write_text("boral holds the prelt .")
-    code = main(["predict", "--checkpoint", str(bad),
+    return main(["predict", "--checkpoint", str(checkpoint),
                  "--embeddings", embeddings_path,
                  "--question", "which item holds the prelt ?",
                  "--document", str(doc)])
-    assert code == EXIT_IO
-    assert str(bad) in capsys.readouterr().err
+
+
+def _nan_entry(params):
+    params.ffnn_qs.V[0, 0] = float("nan")
+
+
+def _overflow(params):
+    # every first-layer unit is ~1e300, so the second layer overflows
+    params.ffnn_qs.a[:] = 1e300
+    params.ffnn_qs.U[:] = 1e300
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (_nan_entry, EXIT_IO, "tensor 'ffnn_qs.V' holds non-finite values"),
+    (_overflow, EXIT_NUMERIC, "non-finite score at inference"),
+], ids=["nan-tensor", "overflowing-weights"])
+def test_predict_non_finite_weights(tmp_path, embeddings_path, trained_dir,
+                                    edit, code, message, capsys):
+    params = load_checkpoint(trained_dir / "checkpoint.ckpt")
+    edit(params)
+    bad = tmp_path / "edited.ckpt"
+    save_checkpoint(bad, params)
+    assert _predict_prelt(tmp_path, embeddings_path, bad) == code
+    assert message in capsys.readouterr().err
 
 
 def test_predict_unanswerable_empty_document(tmp_path, embeddings_path,

@@ -12,6 +12,7 @@ from spancascade.evaluation import (
     evaluate,
     exact_match,
     frequency_bucket,
+    gold_indices,
     normalize_answer,
     token_f1,
 )
@@ -44,6 +45,17 @@ def test_exact_match_alias_set():
     assert exact_match("The The", ["The The", "Pollock"]) == 0
     with pytest.raises(ContractError):
         exact_match("x", [])
+
+
+def test_gold_indices_rule():
+    texts = ["Jackson Pollock", ".", "the", "POLLOCK!", "Krasner"]
+    assert gold_indices(texts, ALIASES) == [0, 3]
+    # "" is never a match, whether it comes from an alias or a text
+    assert gold_indices(texts, ALIASES + ["The The"]) == [0, 3]
+    assert gold_indices(texts, ["The The"]) == []
+    assert gold_indices(texts, []) == []
+    # exact_match is the same rule for one string
+    assert [exact_match(t, ALIASES) for t in texts] == [1, 0, 0, 1, 0]
 
 
 def test_token_f1_hand_case():

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spancascade import synth
 from spancascade.corpus import QAExample, build_candidates, tokenize
 from spancascade.embeddings import random_table
 from spancascade.errors import CheckpointError, ContractError, EmptyCandidateError
+from spancascade.training import ABLATIONS, TrainConfig
 
 ARCH = mdl.Architecture(embed_dim=8, hidden_width=8)
 
@@ -455,8 +457,6 @@ def test_inference_audit_mode_collects_probability_vectors(toy):
 
 
 def test_ablation_architectures_score(toy):
-    from spancascade.training import TrainConfig
-
     example, table, _, _, _ = toy
     q_only = TrainConfig(ablation="level1_qs_only", hidden_width=8)
     arch = q_only.arch(8)
@@ -520,10 +520,66 @@ def test_checkpoint_save_is_deterministic(tmp_path, toy):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# the full wiring's tensors in checkpoint (and tape-variable) order
+FULL_TENSOR_NAMES = [
+    "ffnn_q.V", "ffnn_q.a", "ffnn_q.U", "ffnn_q.b",
+    "ffnn_qs.V", "ffnn_qs.a", "ffnn_qs.U", "ffnn_qs.b",
+    "ffnn_c.V", "ffnn_c.a", "ffnn_c.U", "ffnn_c.b",
+    "ffnn_att1.V", "ffnn_att1.a", "ffnn_att1.U", "ffnn_att1.b",
+    "ffnn_att2.V", "ffnn_att2.a", "ffnn_att2.U", "ffnn_att2.b",
+    "ffnn_l2.V", "ffnn_l2.a", "ffnn_l2.U", "ffnn_l2.b",
+    "ffnn_agg.V", "ffnn_agg.a", "ffnn_agg.U", "ffnn_agg.b",
+    "ffnn_l3.V", "ffnn_l3.a", "ffnn_l3.U", "ffnn_l3.b",
+    "linear_q.w", "linear_q.z", "linear_qs.w", "linear_qs.z",
+    "linear_c.w", "linear_c.z", "linear_l2.w", "linear_l2.z",
+    "linear_l3.w", "linear_l3.z",
+]
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+def test_parameter_layout(ablation):
+    arch = TrainConfig(ablation=ablation, hidden_width=8).arch(8)
+    params = mdl.CascadeParams.initialize(arch, 0)
+    arrays = params.as_dict()
+    named = [(name, arr.tobytes()) for name, arr in params.named_arrays()]
+    names = list(arrays)
+    if ablation == "full":
+        assert names == FULL_TENSOR_NAMES
+    rebuilt = mdl.CascadeParams.from_arrays(arch, 0, arrays)
+    assert [(n, a.tobytes()) for n, a in rebuilt.named_arrays()] == named
+    tape = ad.Tape()
+    bound = params.bind(tape)
+    assert list(tape.variables) == names
+    assert [(n, t.value.tobytes()) for n, t in bound.named_arrays()] == named
+    with pytest.raises(CheckpointError, match="'ffnn_x.V' is not part"):
+        mdl.CascadeParams.from_arrays(
+            arch, 0, {**arrays, "ffnn_x.V": np.zeros((8, 8))})
+    del arrays[names[-1]]
+    with pytest.raises(CheckpointError, match=f"missing tensor '{names[-1]}'"):
+        mdl.CascadeParams.from_arrays(arch, 0, arrays)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(CheckpointError):
+        mdl.load_checkpoint(path)
+
+
+def test_checkpoint_tensor_listed_twice(tmp_path, toy):
+    _, _, _, _, params = toy
+    path = tmp_path / "model.ckpt"
+    mdl.save_checkpoint(path, params)
+    data = path.read_bytes()
+    start = len(mdl.CHECKPOINT_MAGIC) + 8
+    end = start + int.from_bytes(data[start - 8:start], "little")
+    header = json.loads(data[start:end])
+    # a second copy of linear_q.z, bytes included, after the real ones
+    header["tensors"].append({"name": "linear_q.z", "shape": []})
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(mdl.CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little")
+                     + blob + data[end:] + bytes(8))
+    with pytest.raises(CheckpointError, match="'linear_q.z' is listed twice"):
         mdl.load_checkpoint(path)
 
 
