@@ -60,11 +60,6 @@ class Tensor:
     def ndim(self):
         return self.value.ndim
 
-    @property
-    def grad(self) -> Array:
-        """Accumulated gradient after backward; exact zeros if unreachable."""
-        return self.tape.grad_of(self.idx)
-
     def item(self) -> float:
         return float(self.value)
 
@@ -80,10 +75,10 @@ class Tensor:
 class Tape:
     """Ordered record of forward operations for one unit of work.
 
-    A recording tape keeps every node for ``backward`` and rejects a
-    non-finite value as soon as an operation produces it. A non-recording
-    tape (``record=False``) only evaluates: it keeps no node, skips the
-    per-node finiteness scan and refuses ``backward``. A tape is
+    A recording tape keeps every node for ``backward``; a non-recording
+    tape (``record=False``) keeps none and refuses ``backward``. Neither
+    inspects the values it computes: ``backward`` rejects a non-finite
+    root, and callers check their own inputs and outputs. A tape is
     single-threaded; parameters bound to it via ``variable`` are read-only
     during the pass.
     """
@@ -95,18 +90,15 @@ class Tape:
         self._backwards: list = []
         self._needs: list[bool] = []
         self.variables: dict[str, int] = {}  # name -> node index
-        self.grads: list[Array | None] | None = None
         self.stats = TapeStats()
 
     def __len__(self):
         return len(self._values)
 
-    def _push(self, value, parents=(), backward=None, needs=None, op="op") -> Tensor:
+    def _push(self, value, parents=(), backward=None, needs=None) -> Tensor:
         value = _f64(value)
         if not self.record:
             return Tensor(self, -1, value)
-        if not np.all(np.isfinite(value)):
-            raise NonFiniteError(f"non-finite value produced by {op}")
         if needs is None:
             needs = any(self._needs[p] for p in parents)
         idx = len(self._values)
@@ -118,11 +110,11 @@ class Tape:
 
     def constant(self, value) -> Tensor:
         """Leaf that never receives a gradient (e.g. fixed embeddings)."""
-        return self._push(value, needs=False, op="constant")
+        return self._push(value, needs=False)
 
     def variable(self, value, name=None) -> Tensor:
         """Trainable leaf; ``name`` registers it for gradient collection."""
-        t = self._push(value, needs=True, op="variable")
+        t = self._push(value, needs=True)
         if name is not None:
             if name in self.variables:
                 raise ContractError(f"duplicate variable name {name!r}")
@@ -133,8 +125,8 @@ class Tape:
         """Propagate from a scalar root; returns grads of named variables.
 
         Traversal is in strictly decreasing node order, so accumulation
-        order is deterministic. Unreachable nodes keep a None slot and
-        read back as exact zeros.
+        order is deterministic. A variable the root never reaches gets
+        exact zeros. Raises NonFiniteError for a non-finite root.
         """
         if not self.record:
             raise ContractError("backward needs a recording tape")
@@ -144,6 +136,9 @@ class Tape:
             raise ContractError(
                 f"backward root must be a scalar, got shape {root.value.shape}"
             )
+        if not np.isfinite(root.value):
+            raise NonFiniteError(f"non-finite loss {float(root.value)} at the "
+                                 f"backward root")
         grads: list[Array | None] = [None] * len(self._values)
         grads[root.idx] = np.ones((), dtype=np.float64)
         for i in range(root.idx, -1, -1):
@@ -161,18 +156,12 @@ class Tape:
                     grads[p] = pg
                 else:
                     grads[p] = grads[p] + pg
-        self.grads = grads
-        return {name: self.grad_of(i) for name, i in self.variables.items()}
-
-    def grad_of(self, idx: int) -> Array:
-        """Gradient of node ``idx``; exact zeros if the root never reached it."""
-        if self.grads is None:
-            raise ContractError("backward has not been run on this tape")
-        g = self.grads[idx]
-        value = self._values[idx]
-        if g is None:
-            return np.zeros_like(value)
-        return np.asarray(g, dtype=np.float64).reshape(value.shape)
+        out = {}
+        for name, i in self.variables.items():
+            value = self._values[i]
+            out[name] = (np.zeros_like(value) if grads[i] is None else
+                         np.asarray(grads[i], dtype=np.float64).reshape(value.shape))
+        return out
 
 
 def _check_same_tape(*tensors):
@@ -211,12 +200,12 @@ def add(a: Tensor, b) -> Tensor:
         back = lambda g: (g.sum(axis=0), g)
     else:
         raise DimensionError(f"cannot add shapes {av.shape} and {bv.shape}")
-    return tape._push(av + bv, (a.idx, b.idx), back, op="add")
+    return tape._push(av + bv, (a.idx, b.idx), back)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return a.tape._push(a.value * c, (a.idx,), lambda g: (g * c,), op="scale")
+    return a.tape._push(a.value * c, (a.idx,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -245,20 +234,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         back = lambda g: (g * bv, g * av)
     else:
         raise DimensionError(f"matmul shapes {av.shape} and {bv.shape}")
-    return tape._push(av @ bv, (a.idx, b.idx), back, op="matmul")
+    return tape._push(av @ bv, (a.idx, b.idx), back)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.value.ndim != 2:
         raise DimensionError(f"transpose expects a matrix, got shape {a.value.shape}")
-    return a.tape._push(a.value.T, (a.idx,), lambda g: (g.T,), op="transpose")
+    return a.tape._push(a.value.T, (a.idx,), lambda g: (g.T,))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.value > 0
-    return a.tape._push(
-        np.where(mask, a.value, 0.0), (a.idx,), lambda g: (g * mask,), op="relu"
-    )
+    return a.tape._push(np.where(mask, a.value, 0.0), (a.idx,),
+                        lambda g: (g * mask,))
 
 
 def concat(xs: list[Tensor]) -> Tensor:
@@ -277,12 +265,8 @@ def concat(xs: list[Tensor]) -> Tensor:
     def back(g):
         return tuple(np.split(g, splits))
 
-    return tape._push(
-        np.concatenate([x.value for x in xs]),
-        tuple(x.idx for x in xs),
-        back,
-        op="concat",
-    )
+    return tape._push(np.concatenate([x.value for x in xs]),
+                      tuple(x.idx for x in xs), back)
 
 
 def hstack(xs: list[Tensor]) -> Tensor:
@@ -302,12 +286,8 @@ def hstack(xs: list[Tensor]) -> Tensor:
     def back(g):
         return tuple(np.split(g, np.cumsum(widths)[:-1], axis=1))
 
-    return tape._push(
-        np.concatenate([x.value for x in xs], axis=1),
-        tuple(x.idx for x in xs),
-        back,
-        op="hstack",
-    )
+    return tape._push(np.concatenate([x.value for x in xs], axis=1),
+                      tuple(x.idx for x in xs), back)
 
 
 def stack_rows(xs: list[Tensor]) -> Tensor:
@@ -325,9 +305,7 @@ def stack_rows(xs: list[Tensor]) -> Tensor:
     def back(g):
         return tuple(g)  # one row per input
 
-    return tape._push(
-        np.stack([x.value for x in xs]), tuple(x.idx for x in xs), back, op="stack_rows"
-    )
+    return tape._push(np.stack([x.value for x in xs]), tuple(x.idx for x in xs), back)
 
 
 def tile_rows(a: Tensor, n: int) -> Tensor:
@@ -340,12 +318,8 @@ def tile_rows(a: Tensor, n: int) -> Tensor:
     def back(g):
         return (g.sum(axis=0),)
 
-    return a.tape._push(
-        np.broadcast_to(a.value, (n, a.value.shape[0])).copy(),
-        (a.idx,),
-        back,
-        op="tile_rows",
-    )
+    return a.tape._push(np.broadcast_to(a.value, (n, a.value.shape[0])).copy(),
+                        (a.idx,), back)
 
 
 def sum_rows(a: Tensor) -> Tensor:
@@ -357,7 +331,7 @@ def sum_rows(a: Tensor) -> Tensor:
     def back(g):
         return (np.broadcast_to(g, (n, g.shape[0])),)
 
-    return a.tape._push(a.value.sum(axis=0), (a.idx,), back, op="sum_rows")
+    return a.tape._push(a.value.sum(axis=0), (a.idx,), back)
 
 
 def _check_row_ids(idx: Array, n: int, op: str) -> None:
@@ -386,7 +360,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     def back(g):
         return (_scatter_add_rows(g, idx, n),)
 
-    return a.tape._push(a.value[idx], (a.idx,), back, op="gather_rows")
+    return a.tape._push(a.value[idx], (a.idx,), back)
 
 
 def gather(a: Tensor, idx) -> Tensor:
@@ -401,7 +375,7 @@ def gather(a: Tensor, idx) -> Tensor:
         np.add.at(out, idx, g)
         return (out,)
 
-    return a.tape._push(a.value[idx], (a.idx,), back, op="gather")
+    return a.tape._push(a.value[idx], (a.idx,), back)
 
 
 def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
@@ -419,7 +393,7 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     def back(g):
         return (g[segment_ids],)
 
-    return a.tape._push(out, (a.idx,), back, op="segment_sum")
+    return a.tape._push(out, (a.idx,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +417,7 @@ def softmax_normalize(a: Tensor) -> Tensor:
     def back(g):
         return (y * (g - np.dot(g, y)),)
 
-    return a.tape._push(y, (a.idx,), back, op="softmax")
+    return a.tape._push(y, (a.idx,), back)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -457,7 +431,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     def back(g):
         return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
 
-    return a.tape._push(y, (a.idx,), back, op="softmax_rows")
+    return a.tape._push(y, (a.idx,), back)
 
 
 def softmax_cols(a: Tensor) -> Tensor:
@@ -471,7 +445,7 @@ def softmax_cols(a: Tensor) -> Tensor:
     def back(g):
         return (y * (g - (g * y).sum(axis=0, keepdims=True)),)
 
-    return a.tape._push(y, (a.idx,), back, op="softmax_cols")
+    return a.tape._push(y, (a.idx,), back)
 
 
 def logsumexp(a: Tensor) -> Tensor:
@@ -487,7 +461,7 @@ def logsumexp(a: Tensor) -> Tensor:
     def back(g):
         return (g * soft,)
 
-    return a.tape._push(out, (a.idx,), back, op="logsumexp")
+    return a.tape._push(out, (a.idx,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +501,7 @@ def dropout(a: Tensor, state: DropoutState | None) -> Tensor:
     mask = _dropout_mask(state, a.value.shape)
     if mask is None:
         return a
-    return a.tape._push(a.value * mask, (a.idx,), lambda g: (g * mask,), op="dropout")
+    return a.tape._push(a.value * mask, (a.idx,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +626,7 @@ def ffnn(x: Tensor, p: FfnnParams, drop: DropoutState | None = None) -> Tensor:
             gx = Vv.T @ gh if vec else gh @ Vv
         return gx, gV, ga, gU, gb
 
-    return tape._push(out, parents, back, op="ffnn")
+    return tape._push(out, parents, back)
 
 
 def linear(h: Tensor, p: LinearParams) -> Tensor:
@@ -699,10 +673,11 @@ def finite_difference_check(loss_fn, params: dict[str, Array],
     it must be deterministic (dropout off). Each scalar coordinate is
     perturbed by +/- epsilon in place (and restored). The relative error is
     |analytic - numeric| / max(1e-8, |analytic| + |numeric|), maximized
-    over all coordinates.
+    over all coordinates. A non-finite loss at any perturbation raises
+    NonFiniteError naming the coordinate.
     """
-    if epsilon <= 0:
-        raise ContractError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ContractError(f"epsilon must be positive and finite, got {epsilon}")
     loss = loss_fn(params)
     grads = loss.tape.backward(loss)
     analytic = {name: grads.get(name, np.zeros_like(arr))
@@ -717,6 +692,9 @@ def finite_difference_check(loss_fn, params: dict[str, Array],
             arr[ix] = orig - epsilon
             down = float(loss_fn(params).value)
             arr[ix] = orig
+            if not (math.isfinite(up) and math.isfinite(down)):
+                raise NonFiniteError(f"non-finite loss at {name}{list(ix)} "
+                                     f"+/- {epsilon:g}: {up}, {down}")
             numeric = (up - down) / (2.0 * epsilon)
             a = float(grad[ix])
             rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))

@@ -57,6 +57,15 @@ def _echo_config(flat: dict):
         print(f"  {key} = {flat[key]}")
 
 
+def _int_list(flag: str, text: str) -> list:
+    """Integers of a comma list; a malformed one is a usage error."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag} expects comma-separated integers, "
+                         f"got {text!r}") from None
+
+
 def _load_table(path, dimension, seed):
     if not os.path.exists(path):
         raise DataError(f"embeddings file not found: {path}")
@@ -108,9 +117,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    limits = _int_list("--truncate", args.truncate)
     params = load_checkpoint(args.checkpoint)
     table = _load_table(args.embeddings, params.arch.embed_dim, args.table_seed)
-    limits = [int(x) for x in str(args.truncate).split(",")]
     _echo_config({
         "checkpoint": args.checkpoint, "data": args.data, "topk": args.topk,
         "truncate": args.truncate, "mode": args.mode,
@@ -179,7 +188,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    lengths = [int(x) for x in args.lengths.split(",")]
+    lengths = _int_list("--lengths", args.lengths)
     _echo_config({
         "lengths": args.lengths, "reps": args.reps,
         "embed_dim": args.dim, "hidden_width": args.hidden, "seed": args.seed,

@@ -66,6 +66,8 @@ class EmbeddingTable:
                     f"vector for {token!r} has shape {arr.shape}, "
                     f"expected ({self.dimension},)"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise DataError(f"non-finite vector for token {token!r}")
             if not arr.any():
                 raise DataError(f"zero-norm vector for token {token!r}")
             with np.errstate(over="ignore"):
@@ -156,6 +158,8 @@ def random_table(tokens, dimension: int, seed: int = 0) -> EmbeddingTable:
     Used by the synthetic corpora so that no two tokens collide the way
     OOV bank buckets can.
     """
+    if dimension < 1:
+        raise ContractError(f"dimension must be positive, got {dimension}")
     rng = np.random.default_rng(seed)
     vectors = {}
     for token in tokens:

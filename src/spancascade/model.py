@@ -21,7 +21,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -99,20 +99,13 @@ class Architecture:
 
 @dataclass
 class ForwardStats:
-    """Per-forward instrumentation (attention sharing, MACs, softmax audit)."""
+    """Counters one forward pass adds to: attention calls and MACs.
+
+    Counting never changes a score.
+    """
 
     attention_calls: int = 0
     macs: int = 0
-    collect_distributions: bool = False
-    probability_vectors: list = field(default_factory=list)
-
-    def record_probs(self, array: np.ndarray):
-        if not self.collect_distributions:
-            return
-        if array.ndim == 1:
-            self.probability_vectors.append(np.array(array))
-        else:
-            self.probability_vectors.extend(np.array(row) for row in array)
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +341,14 @@ class CascadeScores:
 
 
 def question_vector(tape: Tape, q_embed, bound: CascadeParams,
-                    drop: DropoutState | None = None,
-                    stats: ForwardStats | None = None) -> Tensor:
+                    drop: DropoutState | None = None) -> Tensor:
     """Softmax-weighted question summary with learned per-token weights."""
     q = q_embed if isinstance(q_embed, Tensor) else tape.constant(q_embed)
     if q.value.shape[0] < 1:
         raise ContractError("question must have at least one token")
     h = ffnn(q, bound.ffnn_q, drop)
     delta = linear(h, bound.linear_q)
-    weights = ad.softmax_normalize(delta)
-    if stats is not None:
-        stats.record_probs(weights.value)
-    return ad.matmul(weights, q)
+    return ad.matmul(ad.softmax_normalize(delta), q)
 
 
 def level1(columns: list, net: FfnnParams, head: LinearParams,
@@ -398,9 +387,6 @@ def sentence_attention(tape: Tape, q_embed, sent_embed, bound: CascadeParams,
     eta = ad.matmul(q_projected, ad.transpose(g_projected))  # (m, G)
     align_q = ad.softmax_rows(eta)       # each question token over the sentence
     align_g = ad.softmax_cols(eta)       # each sentence token over the question
-    if stats is not None:
-        stats.record_probs(align_q.value)
-        stats.record_probs(align_g.value.T)
     q_attended = ad.matmul(align_q, g)               # (m, e)
     g_attended = ad.matmul(ad.transpose(align_g), q)  # (G, e)
     q_bar = ad.sum_rows(ffnn(ad.hstack([q, q_attended]), bound.ffnn_att2, drop))
@@ -482,7 +468,7 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
     if arch.needs_question_nets or arch.use_level2:
         q_const = tape.constant(enc.question)
     if arch.needs_question_nets:
-        q_tilde = question_vector(tape, q_const, bound, drop, stats)
+        q_tilde = question_vector(tape, q_const, bound, drop)
 
     parts = {"phi1": [], "phi2": [], "phi_comb": [], "phi3": [], "mentions": []}
     bars = None
@@ -536,9 +522,12 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
 # distributions and prediction
 
 
-def distributions(scores: CascadeScores,
-                  stats: ForwardStats | None = None) -> dict:
-    """Softmax each active level's scores into probability vectors."""
+def distributions(scores: CascadeScores) -> dict:
+    """Softmax each active level's scores into probability vectors.
+
+    Uses the tape's softmax, so every probability vector the cascade makes
+    comes from ``autodiff._softmax``.
+    """
     vals = scores.values()
     out = {}
     for level, phi in ((1, vals.phi1), (2, vals.phi2), ("1c", vals.phi_comb),
@@ -548,11 +537,7 @@ def distributions(scores: CascadeScores,
         phi = np.asarray(phi)
         if phi.size == 0:
             raise EmptyCandidateError(f"level {level} has no candidates")
-        shifted = np.exp(phi - phi.max())
-        p = shifted / shifted.sum()
-        out[level] = p
-        if stats is not None:
-            stats.record_probs(p)
+        out[level] = ad._softmax(phi, axis=0)
     return out
 
 

@@ -223,27 +223,21 @@ def multi_loss(scores: CascadeScores, gold_spans, gold_uniques,
     gold_uniques = np.asarray(gold_uniques, dtype=np.intp)
     if gold_spans.size == 0 or gold_uniques.size == 0:
         return None
-    span_terms = [
+    terms = [
         (weights.level1_qs, scores.phi_comb if scores.phi_comb is not None
-         else scores.phi1),
-        (weights.level1_sc, scores.phi2),
-        (weights.level2, scores.phi3),
+         else scores.phi1, gold_spans),
+        (weights.level1_sc, scores.phi2, gold_spans),
+        (weights.level2, scores.phi3, gold_spans),
+        (weights.level3, scores.phi4, gold_uniques),
     ]
     total = None
-    for w, phi in span_terms:
+    for w, phi, gold in terms:
         if w == 0.0:
             continue
         if phi is None:
             raise ContractError("positive loss weight for an inactive level")
-        term = ad.logsumexp(phi) - ad.logsumexp(ad.gather(phi, gold_spans))
+        term = ad.logsumexp(phi) - ad.logsumexp(ad.gather(phi, gold))
         term = ad.scale(term, w)
-        total = term if total is None else ad.add(total, term)
-    if weights.level3 > 0.0:
-        if scores.phi4 is None:
-            raise ContractError("positive loss weight for an inactive level")
-        term = ad.logsumexp(scores.phi4) - ad.logsumexp(
-            ad.gather(scores.phi4, gold_uniques))
-        term = ad.scale(term, weights.level3)
         total = term if total is None else ad.add(total, term)
     if total is None:
         raise ContractError("all loss weights are zero")
@@ -385,13 +379,15 @@ def train(examples, config: TrainConfig, table, out_dir=None,
                 )
             else:
                 drop = DropoutState.off()
-            scores = forward_cascade(tape, bound, enc, drop)
-            loss = multi_loss(scores, enc.gold_spans, enc.gold_uniques,
-                              config.weights)
-            if loss is None:
-                continue
-            grads = tape.backward(loss)
-            adagrad_step(params.named_arrays(), grads, state)
+            # a diverging run is reported by backward or adagrad_step
+            with np.errstate(over="ignore", invalid="ignore"):
+                scores = forward_cascade(tape, bound, enc, drop)
+                loss = multi_loss(scores, enc.gold_spans, enc.gold_uniques,
+                                  config.weights)
+                if loss is None:
+                    continue
+                grads = tape.backward(loss)
+                adagrad_step(params.named_arrays(), grads, state)
             losses.append(float(loss.value))
         em = _train_em(params, prepared, examples)
         entry = EpochMetrics(

@@ -25,6 +25,24 @@ def _record(idx, answer, cue, distractor, alt_cue, filler):
     }
 
 
+@pytest.fixture
+def softmax_spy(monkeypatch):
+    """Every probability vector ``autodiff._softmax`` returns, one per row."""
+    from spancascade import autodiff
+
+    vectors = []
+    softmax = autodiff._softmax
+
+    def spy(v, axis):
+        y = softmax(v, axis)
+        vectors.extend(np.array(row) for row in
+                       np.moveaxis(y, axis, -1).reshape(-1, y.shape[axis]))
+        return y
+
+    monkeypatch.setattr(autodiff, "_softmax", spy)
+    return vectors
+
+
 @pytest.fixture(scope="session")
 def corpus_path(tmp_path_factory):
     rng = np.random.default_rng(5)

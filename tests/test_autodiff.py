@@ -416,9 +416,25 @@ def test_dropout_contract_checks():
 
 def test_non_finite_forward_raises():
     tape = ad.Tape()
-    big = tape.constant(np.array([1e308, 1e308]))
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        ad.add(big, big)
+    big = tape.variable(np.array(1e308), "big")
+    with np.errstate(over="ignore"):
+        root = ad.add(big, big)  # the forward computes inf without a check
+    with pytest.raises(NonFiniteError, match="non-finite loss inf"):
+        tape.backward(root)
+
+
+def test_finite_difference_names_coordinate_of_non_finite_loss():
+    w = np.array([0.0, 1.7e308])
+
+    def loss_fn(p):
+        tape = ad.Tape()
+        return ad.matmul(tape.variable(p["x"], "x"), tape.constant(w))
+
+    # x[1] + epsilon overflows; every other evaluation is finite
+    with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteError, match=r"x\[1\]"):
+        ad.finite_difference_check(loss_fn, {"x": np.array([0.5, 1.0])},
+                                   epsilon=0.1)
 
 
 def test_tile_rows_and_sum_rows_roundtrip():
@@ -427,8 +443,9 @@ def test_tile_rows_and_sum_rows_roundtrip():
     tiled = ad.tile_rows(v, 4)
     assert tiled.value.shape == (4, 3)
     out = ad.logsumexp(ad.sum_rows(tiled))
-    tape.backward(out)
-    assert np.all(np.isfinite(v.grad))
+    grads = tape.backward(out)
+    assert grads["v"].shape == (3,)
+    assert np.all(np.isfinite(grads["v"]))
 
 
 def test_matmul_mac_counting():

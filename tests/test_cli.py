@@ -313,6 +313,46 @@ def test_bench_rejects_unsorted_lengths(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("args, message", [
+    (["eval", "--truncate", "abc"], "--truncate expects comma-separated "
+                                    "integers, got 'abc'"),
+    (["eval", "--truncate", "5,abc"], "got '5,abc'"),
+    (["bench", "--lengths", "10,abc"], "--lengths expects comma-separated "
+                                       "integers, got '10,abc'"),
+    (["bench", "--lengths", ""], "--lengths expects comma-separated "
+                                 "integers, got ''"),
+    (["gradcheck", "--dim", "-1"], "dimension must be positive, got -1"),
+    (["gradcheck", "--dim", "0"], "dimension must be positive, got 0"),
+    (["gradcheck", "--epsilon", "nan"], "epsilon must be positive and finite, "
+                                        "got nan"),
+], ids=["truncate-word", "truncate-list", "lengths-list", "lengths-empty",
+        "dim-negative", "dim-zero", "epsilon-nan"])
+def test_malformed_number_is_usage_error(args, message, tmp_path, corpus_path,
+                                         embeddings_path, trained_dir, capsys):
+    if args[0] == "eval":
+        args = args + ["--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                       "--data", corpus_path, "--embeddings", embeddings_path,
+                       "--out", str(tmp_path)]
+    elif args[0] == "bench":
+        args = args + ["--reps", "1", "--out", str(tmp_path / "b.csv")]
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert message in err
+
+
+def test_train_diverging_learning_rate_is_one_numeric_error(
+        tmp_path, corpus_path, embeddings_path, capsys):
+    code = main(["train", "--data", corpus_path, "--embeddings",
+                 embeddings_path, "--dim", "8", "--out", str(tmp_path),
+                 "--set", "hidden_width=8", "--set", "epochs=1",
+                 "--set", "learning_rate=1e300"])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: non-finite loss")
+    assert err.count("\n") == 1
+
+
 def test_gradcheck_passes_and_prints(capsys):
     code = main(["gradcheck"])
     out = capsys.readouterr().out

@@ -61,6 +61,12 @@ def test_extreme_magnitudes_normalize_to_unit_vectors():
     np.testing.assert_array_equal(table.lookup("b"), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructor_rejects_non_finite_vector(bad):
+    with pytest.raises(DataError, match="non-finite vector for token 'a'"):
+        EmbeddingTable({"a": [bad, 1.0]}, 2)
+
+
 def test_zero_norm_vector_rejected():
     with pytest.raises(DataError):
         load_embeddings("a 0 0 0\n", 3)

@@ -58,15 +58,16 @@ def test_question_vector_uniform_weights_give_mean():
     np.testing.assert_allclose(out.value, q.mean(axis=0), rtol=1e-12)
 
 
-def test_question_vector_weights_are_probabilities():
+def test_question_vector_weights_are_probabilities(softmax_spy):
     rng = np.random.default_rng(3)
     for trial in range(10):
         q = rng.normal(size=(int(rng.integers(1, 7)), 8))
         tape = ad.Tape()
         bound = mdl.CascadeParams.initialize(ARCH, trial).bind(tape)
-        stats = mdl.ForwardStats(collect_distributions=True)
-        mdl.question_vector(tape, q, bound, stats=stats)
-        (weights,) = stats.probability_vectors
+        softmax_spy.clear()
+        mdl.question_vector(tape, q, bound)
+        (weights,) = softmax_spy
+        assert weights.shape == (q.shape[0],)
         assert abs(weights.sum() - 1.0) < 1e-12
         assert np.all(weights >= 0)
 
@@ -167,15 +168,15 @@ def test_forward_deterministic_bitwise(toy):
 # attention
 
 
-def test_attention_singleton_alignment_is_one():
+def test_attention_singleton_alignment_is_one(softmax_spy):
     tape = ad.Tape()
     bound = mdl.CascadeParams.initialize(ARCH, 0).bind(tape)
     rng = np.random.default_rng(0)
     q = rng.normal(size=(1, 8))
     g = rng.normal(size=(1, 8))
-    stats = mdl.ForwardStats(collect_distributions=True)
-    mdl.sentence_attention(tape, q, g, bound, stats=stats)
-    for vec in stats.probability_vectors:
+    mdl.sentence_attention(tape, q, g, bound)
+    assert len(softmax_spy) == 2  # one alignment row, one column
+    for vec in softmax_spy:
         np.testing.assert_array_equal(vec, [1.0])
 
 
@@ -439,15 +440,16 @@ def test_score_example_rejects_bad_workers(toy):
             mdl.score_example(params, enc, workers=workers)
 
 
-def test_inference_audit_mode_collects_probability_vectors(toy):
+def test_inference_audit_mode_collects_probability_vectors(toy, softmax_spy,
+                                                           monkeypatch):
     _, _, _, enc, params = toy
-    stats = mdl.ForwardStats(collect_distributions=True)
-    scores = mdl.score_example(params, enc, stats=stats)
-    mdl.distributions(scores, stats=stats)
-    assert stats.probability_vectors
-    for vec in stats.probability_vectors:
+    scores = mdl.score_example(params, enc)
+    mdl.distributions(scores)
+    assert softmax_spy
+    for vec in softmax_spy:
         assert abs(vec.sum() - 1.0) < 1e-12
-    # audit mode must not change the scores
+    # auditing the softmax must not change the scores
+    monkeypatch.undo()
     plain = mdl.score_example(params, enc)
     assert scores.phi4.tobytes() == plain.phi4.tobytes()
 
