@@ -75,25 +75,25 @@ class Tensor:
 class Tape:
     """Ordered record of forward operations for one unit of work.
 
-    A recording tape keeps every node for ``backward``; a non-recording
-    tape (``record=False``) keeps none and refuses ``backward``. Neither
-    inspects the values it computes: ``backward`` rejects a non-finite
-    root, and callers check their own inputs and outputs. A tape is
-    single-threaded; parameters bound to it via ``variable`` are read-only
-    during the pass.
+    A recording tape keeps each node's parents and backward function, not
+    its value, so a value that no backward reads is freed with its Tensor;
+    a non-recording tape (``record=False``) keeps no node and refuses
+    ``backward``. Neither inspects the values it computes: ``backward``
+    rejects a non-finite root, and callers check their own inputs and
+    outputs. A tape is single-threaded; parameters bound to it via
+    ``variable`` are read-only during the pass.
     """
 
     def __init__(self, record=True):
         self.record = record
-        self._values: list[Array] = []
         self._parents: list[tuple] = []
         self._backwards: list = []
         self._needs: list[bool] = []
-        self.variables: dict[str, int] = {}  # name -> node index
+        self.variables: dict[str, tuple] = {}  # name -> (node index, shape)
         self.stats = TapeStats()
 
     def __len__(self):
-        return len(self._values)
+        return len(self._parents)
 
     def _push(self, value, parents=(), backward=None, needs=None) -> Tensor:
         value = _f64(value)
@@ -101,8 +101,7 @@ class Tape:
             return Tensor(self, -1, value)
         if needs is None:
             needs = any(self._needs[p] for p in parents)
-        idx = len(self._values)
-        self._values.append(value)
+        idx = len(self._parents)
         self._parents.append(tuple(parents))
         self._backwards.append(backward)
         self._needs.append(needs)
@@ -118,7 +117,7 @@ class Tape:
         if name is not None:
             if name in self.variables:
                 raise ContractError(f"duplicate variable name {name!r}")
-            self.variables[name] = t.idx
+            self.variables[name] = (t.idx, t.value.shape)
         return t
 
     def backward(self, root: Tensor) -> dict[str, Array]:
@@ -139,7 +138,7 @@ class Tape:
         if not np.isfinite(root.value):
             raise NonFiniteError(f"non-finite loss {float(root.value)} at the "
                                  f"backward root")
-        grads: list[Array | None] = [None] * len(self._values)
+        grads: list[Array | None] = [None] * len(self._parents)
         grads[root.idx] = np.ones((), dtype=np.float64)
         for i in range(root.idx, -1, -1):
             g = grads[i]
@@ -157,10 +156,9 @@ class Tape:
                 else:
                     grads[p] = grads[p] + pg
         out = {}
-        for name, i in self.variables.items():
-            value = self._values[i]
-            out[name] = (np.zeros_like(value) if grads[i] is None else
-                         np.asarray(grads[i], dtype=np.float64).reshape(value.shape))
+        for name, (i, shape) in self.variables.items():
+            out[name] = (np.zeros(shape) if grads[i] is None else
+                         np.asarray(grads[i], dtype=np.float64).reshape(shape))
         return out
 
 
@@ -349,31 +347,17 @@ def _scatter_add_rows(rows: Array, idx: Array, n: int) -> Array:
     return out.reshape(n, width)
 
 
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select matrix rows by integer index; backward scatters with add."""
-    idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
-    if a.value.ndim != 2:
-        raise DimensionError(f"gather_rows expects a matrix, got {a.value.shape}")
-    n = a.value.shape[0]
-    _check_row_ids(idx, n, "gather_rows")
-
-    def back(g):
-        return (_scatter_add_rows(g, idx, n),)
-
-    return a.tape._push(a.value[idx], (a.idx,), back)
-
-
 def gather(a: Tensor, idx) -> Tensor:
-    """Select entries of a vector by integer index."""
+    """Select vector entries or matrix rows by index; backward scatters with add."""
     idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
-    if a.value.ndim != 1:
-        raise DimensionError(f"gather expects a vector, got {a.value.shape}")
     shape = a.value.shape
+    if a.value.ndim not in (1, 2):
+        raise DimensionError(f"gather expects a vector or matrix, got {shape}")
+    _check_row_ids(idx, shape[0], "gather")
 
     def back(g):
-        out = np.zeros(shape)
-        np.add.at(out, idx, g)
-        return (out,)
+        rows = g.reshape(idx.size, math.prod(shape[1:]))
+        return (_scatter_add_rows(rows, idx, shape[0]).reshape(shape),)
 
     return a.tape._push(a.value[idx], (a.idx,), back)
 

@@ -12,8 +12,8 @@ gold (distant supervision).
 
 from __future__ import annotations
 
-import io
 import json
+import os
 import string
 from dataclasses import dataclass
 
@@ -46,15 +46,13 @@ DEFAULT_SPAN_LIMIT = 5
 
 @dataclass
 class Document:
-    """Tokenized evidence text with sentence ranges and origin positions.
+    """Tokenized evidence text with sentence ranges.
 
     ``sentences`` holds [start, end) index ranges that partition the
-    retained tokens in order; ``positions`` records each retained token's
-    index in the original (pre-truncation) document.
+    tokens in order.
     """
 
     tokens: list
-    positions: list
     sentences: list
 
     def __len__(self):
@@ -139,7 +137,7 @@ def tokenize(text: str) -> Document:
             sent_start = len(tokens)
     if sent_start < len(tokens):
         sentences.append((sent_start, len(tokens)))
-    return Document(tokens, list(range(len(tokens))), sentences)
+    return Document(tokens, sentences)
 
 
 def truncate(
@@ -158,7 +156,6 @@ def truncate(
     if max_tokens < 1 or max_sentences < 1 or max_sentence_len < 1:
         raise ContractError("truncation limits must be positive")
     tokens: list = []
-    positions: list = []
     sentences: list = []
     for s, e in doc.sentences[:max_sentences]:
         e = min(e, s + max_sentence_len)
@@ -168,11 +165,10 @@ def truncate(
         take = min(e - s, remaining)
         start_new = len(tokens)
         tokens.extend(doc.tokens[s:s + take])
-        positions.extend(doc.positions[s:s + take])
         sentences.append((start_new, start_new + take))
         if take < e - s:
             break
-    return Document(tokens, positions, sentences)
+    return Document(tokens, sentences)
 
 
 def _starts(counts) -> np.ndarray:
@@ -251,18 +247,18 @@ def load_examples(
 ) -> list[QAExample]:
     """Read JSON-lines QA records into tokenized, truncated examples.
 
+    ``source`` is a path (``str`` or ``os.PathLike``), which is opened as
+    UTF-8, or any iterable of text lines such as an open text stream.
     ``mode`` selects instance construction: "wiki" keeps one instance per
     question with all its documents; "web" emits one instance per
     question-document pair (ids suffixed ``::<doc index>``).
     """
     if mode not in ("wiki", "web"):
         raise ContractError(f"mode must be 'wiki' or 'web', got {mode!r}")
-    if isinstance(source, str) and "\n" not in source:
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_examples(fh, mode, max_tokens, max_sentences,
                                  max_sentence_len)
-    if isinstance(source, str):
-        source = io.StringIO(source)
     examples: list[QAExample] = []
     for lineno, line in enumerate(source, start=1):
         line = line.strip()

@@ -9,7 +9,7 @@ vector across runs and platforms.
 
 from __future__ import annotations
 
-import io
+import os
 
 import numpy as np
 
@@ -115,16 +115,15 @@ class EmbeddingTable:
 def load_embeddings(source, dimension: int, seed: int = 0) -> EmbeddingTable:
     """Parse `token v1 ... v_dimension` lines into an EmbeddingTable.
 
-    ``source`` is a text stream, a path, or a string of lines. Duplicate
-    tokens keep their first occurrence; malformed lines, including nan or
-    infinite values, raise ParseError with the line number; zero-norm
-    vectors raise DataError.
+    ``source`` is a path (``str`` or ``os.PathLike``), which is opened as
+    UTF-8, or any iterable of text lines such as an open text stream.
+    Duplicate tokens keep their first occurrence; malformed lines,
+    including nan or infinite values, raise ParseError with the line
+    number; zero-norm vectors raise DataError.
     """
-    if isinstance(source, str) and "\n" not in source:
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_embeddings(fh, dimension, seed)
-    if isinstance(source, str):
-        source = io.StringIO(source)
     vectors: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(source, start=1):
         line = line.strip()

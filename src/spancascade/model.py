@@ -11,8 +11,9 @@ candidate, and produces the score used for prediction.
 
 One forward pass, ``forward_cascade``, serves both uses: training runs it
 on a recording tape, inference (``score_example``) on a non-recording one.
-Span stages run over row chunks of bounded size, which bounds the working
-set of inference on long documents.
+Span stages run over row chunks of bounded size, which bounds their
+per-stage activations; ``EncodedExample``'s (S, e) feature arrays and
+level 3's mention rows still grow with the span count S.
 """
 
 from __future__ import annotations
@@ -252,11 +253,6 @@ class EncodedExample:
         return len(self.span_sentence)
 
 
-def span_embeddings(span_avg: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Append the question-in-span flag to each span's averaged embedding."""
-    return np.concatenate([span_avg, gamma[:, None]], axis=1)
-
-
 def encode_example(example: QAExample, cands: CandidateSet,
                    table: EmbeddingTable, arch: Architecture) -> EncodedExample:
     """Precompute every parameter-free feature of an example.
@@ -340,10 +336,9 @@ class CascadeScores:
                              v(self.phi3), v(self.phi4))
 
 
-def question_vector(tape: Tape, q_embed, bound: CascadeParams,
+def question_vector(q: Tensor, bound: CascadeParams,
                     drop: DropoutState | None = None) -> Tensor:
     """Softmax-weighted question summary with learned per-token weights."""
-    q = q_embed if isinstance(q_embed, Tensor) else tape.constant(q_embed)
     if q.value.shape[0] < 1:
         raise ContractError("question must have at least one token")
     h = ffnn(q, bound.ffnn_q, drop)
@@ -351,38 +346,35 @@ def question_vector(tape: Tape, q_embed, bound: CascadeParams,
     return ad.matmul(ad.softmax_normalize(delta), q)
 
 
-def level1(columns: list, net: FfnnParams, head: LinearParams,
-           drop: DropoutState | None = None):
-    """One level-1 submodel over column blocks of span features.
+def submodel(columns: list, net: FfnnParams, head: LinearParams,
+             drop: DropoutState | None = None):
+    """One scoring submodel over column blocks of span features.
 
-    Question+span reads [s_tilde, q_tilde, gamma], span+context reads
-    [s_avg, left, right, gamma], and the combined variant reads
-    [s_tilde, q_tilde, left, right, gamma]. Returns hidden states and
-    scores for every row.
+    Level 1's question+span reads [s_avg, gamma, q_tilde, gamma],
+    span+context reads [s_avg, left, right, gamma], and the combined
+    variant reads [s_avg, gamma, q_tilde, left, right, gamma]. Level 2
+    reads the active level-1 hidden states, then [q_bar, g_bar, gamma]
+    of the span's sentence. Returns hidden states and scores for every row.
     """
     h = ffnn(ad.hstack(columns), net, drop)
     return h, linear(h, head)
 
 
-def sentence_attention(tape: Tape, q_embed, sent_embed, bound: CascadeParams,
-                       drop: DropoutState | None = None,
-                       stats: ForwardStats | None = None,
-                       q_projected: Tensor | None = None):
+def sentence_attention(q: Tensor, q_projected: Tensor, g: Tensor,
+                       bound: CascadeParams, drop: DropoutState | None = None,
+                       stats: ForwardStats | None = None):
     """Attend/compare between the question and one sentence.
 
-    Returns the sentence-aware question summary and the question-aware
-    sentence summary (both hidden-width vectors). Called once per
-    (question, sentence) pair and shared by every span in the sentence;
-    ``q_projected`` lets callers reuse the question-side projection.
+    ``q_projected`` is the question through ``ffnn_att1``, computed once
+    per example. Returns the sentence-aware question summary and the
+    question-aware sentence summary (both hidden-width vectors). Called
+    once per (question, sentence) pair and shared by every span in the
+    sentence.
     """
-    q = q_embed if isinstance(q_embed, Tensor) else tape.constant(q_embed)
-    g = sent_embed if isinstance(sent_embed, Tensor) else tape.constant(sent_embed)
     if g.value.shape[0] < 1:
         raise ContractError("sentence must have at least one token")
     if stats is not None:
         stats.attention_calls += 1
-    if q_projected is None:
-        q_projected = ffnn(q, bound.ffnn_att1, drop)
     g_projected = ffnn(g, bound.ffnn_att1, drop)
     eta = ad.matmul(q_projected, ad.transpose(g_projected))  # (m, G)
     align_q = ad.softmax_rows(eta)       # each question token over the sentence
@@ -394,17 +386,7 @@ def sentence_attention(tape: Tape, q_embed, sent_embed, bound: CascadeParams,
     return q_bar, g_bar
 
 
-def level2(tape: Tape, hidden_states: list, q_bar_rows: Tensor,
-           g_bar_rows: Tensor, gamma_col, bound: CascadeParams,
-           drop: DropoutState | None = None):
-    """Attention-informed rescoring on top of the level-1 hidden states."""
-    gamma_col = gamma_col if isinstance(gamma_col, Tensor) else tape.constant(gamma_col)
-    x = ad.hstack(list(hidden_states) + [q_bar_rows, g_bar_rows, gamma_col])
-    h = ffnn(x, bound.ffnn_l2, drop)
-    return h, linear(h, bound.linear_l2)
-
-
-def level3_aggregate(tape: Tape, mentions: Tensor, span_unique, n_unique: int,
+def level3_aggregate(mentions: Tensor, span_unique, n_unique: int,
                      bound: CascadeParams, drop: DropoutState | None = None):
     """Sum mention vectors per unique candidate, then score each candidate.
 
@@ -428,16 +410,17 @@ def sentence_summaries(tape: Tape, q_const: Tensor, enc: EncodedExample,
     q_bars, g_bars = [], []
     for s, e in enc.sentence_ranges:
         q_bar, g_bar = sentence_attention(
-            tape, q_const, tape.constant(enc.doc_embed[s:e]), bound, drop,
-            stats, q_projected)
+            q_const, q_projected, tape.constant(enc.doc_embed[s:e]), bound,
+            drop, stats)
         q_bars.append(q_bar)
         g_bars.append(g_bar)
     return ad.stack_rows(q_bars), ad.stack_rows(g_bars)
 
 
-# Rows per span-stage chunk, which bounds the peak memory of a long
-# document; a training example with at most this many spans runs as one
-# chunk, drawing dropout masks level by level.
+# Rows per span-stage chunk, which bounds the per-stage activations of a
+# long document (the encoded features and level 3's mention rows still
+# hold every span); a training example with at most this many spans runs
+# as one chunk, drawing dropout masks level by level.
 _MAX_CHUNK_ROWS = 8192
 
 
@@ -468,30 +451,29 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
     if arch.needs_question_nets or arch.use_level2:
         q_const = tape.constant(enc.question)
     if arch.needs_question_nets:
-        q_tilde = question_vector(tape, q_const, bound, drop)
+        q_tilde = question_vector(q_const, bound, drop)
 
     parts = {"phi1": [], "phi2": [], "phi_comb": [], "phi3": [], "mentions": []}
     bars = None
     for lo, hi in _chunk_ranges(S):
         gamma_col = tape.constant(enc.gamma[lo:hi, None])
-        s_avg = enc.span_avg[lo:hi]
+        s_avg = tape.constant(enc.span_avg[lo:hi])
         ctx = [tape.constant(enc.ctx_left[lo:hi]),
                tape.constant(enc.ctx_right[lo:hi])]
         if q_tilde is not None:
-            s_q = [tape.constant(span_embeddings(s_avg, enc.gamma[lo:hi])),
-                   ad.tile_rows(q_tilde, hi - lo)]
+            s_q = [s_avg, gamma_col, ad.tile_rows(q_tilde, hi - lo)]
         submodels = []
         if arch.m1_active:
             submodels.append(("phi1", s_q, bound.ffnn_qs, bound.linear_qs))
         if arch.m2_active:
-            submodels.append(("phi2", [tape.constant(s_avg)] + ctx,
-                              bound.ffnn_c, bound.linear_c))
+            submodels.append(("phi2", [s_avg] + ctx, bound.ffnn_c,
+                              bound.linear_c))
         if arch.combined_level1:
             submodels.append(("phi_comb", s_q + ctx, bound.ffnn_comb,
                               bound.linear_comb))
         hidden_states = []
         for level, columns, net, head in submodels:
-            h, phi = level1(columns + [gamma_col], net, head, drop)
+            h, phi = submodel(columns + [gamma_col], net, head, drop)
             hidden_states.append(h)
             parts[level].append(phi)
         if not arch.use_level2:
@@ -499,8 +481,9 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
         if bars is None:
             bars = sentence_summaries(tape, q_const, enc, bound, drop, stats)
         rows = enc.span_sentence[lo:hi]
-        h3, phi = level2(tape, hidden_states, ad.gather_rows(bars[0], rows),
-                         ad.gather_rows(bars[1], rows), gamma_col, bound, drop)
+        h3, phi = submodel(hidden_states + [ad.gather(bars[0], rows),
+                                            ad.gather(bars[1], rows), gamma_col],
+                           bound.ffnn_l2, bound.linear_l2, drop)
         parts["phi3"].append(phi)
         if arch.use_level3:
             parts["mentions"].append(
@@ -511,7 +494,7 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
     mentions = joined.pop("mentions")
     scores = CascadeScores(**joined)
     if mentions is not None:
-        _, scores.phi4 = level3_aggregate(tape, mentions, enc.span_unique,
+        _, scores.phi4 = level3_aggregate(mentions, enc.span_unique,
                                           enc.n_unique, bound, drop)
     if stats is not None:
         stats.macs += tape.stats.macs - macs_before

@@ -119,13 +119,13 @@ def test_span_enumeration_matches_brute_force():
             start = len(tokens)
             tokens.extend(f"t{i}" for i in range(g))
             sentences.append((start, start + g))
-        doc = Document(tokens, list(range(len(tokens))), sentences)
+        doc = Document(tokens, sentences)
         spans = _spans(doc, 5)
         got = sorted(zip(spans.sentence.tolist(), spans.start.tolist(),
                          (spans.start + spans.length).tolist()))
         assert got == _brute_force(doc, 5)
         total += len(spans)
-    ten = Document([f"t{i}" for i in range(10)], list(range(10)), [(0, 10)])
+    ten = Document([f"t{i}" for i in range(10)], [(0, 10)])
     assert len(_spans(ten, 5)) == 40
     _status("span enumeration oracle",
             f"100 random documents, {total} spans, exact match; G=10 -> 40")

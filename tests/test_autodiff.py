@@ -246,7 +246,7 @@ def test_gradients_softmax_weighted(seed):
 def test_gradients_segment_and_gather(seed):
     def build(tape, p):
         seg = ad.segment_sum(p["x"], np.array([0, 1, 0, 2]), 3)
-        picked = ad.gather_rows(seg, np.array([2, 0]))
+        picked = ad.gather(seg, np.array([2, 0]))
         return ad.logsumexp(ad.gather(ad.sum_rows(picked), np.array([0, 1])))
 
     _random_op_check(build, {"x": (4, 2)}, seed)
@@ -350,7 +350,7 @@ def test_tape_with_gathers_and_stacks_is_freed_without_cyclic_gc():
         tape = ad.Tape()
         x = tape.variable(np.arange(6.0).reshape(3, 2), "x")
         v = tape.variable(np.arange(3.0), "v")
-        rows = ad.stack_rows([ad.sum_rows(ad.gather_rows(x, [0, 2])),
+        rows = ad.stack_rows([ad.sum_rows(ad.gather(x, [0, 2])),
                               ad.gather(v, [1, 2])])
         grads = tape.backward(ad.logsumexp(ad.sum_rows(rows)))
         assert set(grads) == {"x", "v"}
@@ -374,14 +374,41 @@ def test_segment_sum_matches_sequential_add_at_bitwise():
 
 
 @pytest.mark.parametrize("op", [
-    lambda x: ad.gather_rows(x, [0, 3]),
-    lambda x: ad.gather_rows(x, [-1]),
+    lambda x: ad.gather(x, [0, 3]),
+    lambda x: ad.gather(x, [-1]),
     lambda x: ad.segment_sum(x, [0, 1, 3], 3),
     lambda x: ad.segment_sum(x, [0, -1, 2], 3),
+    lambda x: ad.gather(ad.sum_rows(ad.transpose(x)), [-1]),
+    lambda x: ad.gather(ad.sum_rows(ad.transpose(x)), [3]),
 ])
 def test_row_ids_out_of_range_raise(op):
     with pytest.raises(DimensionError):
         op(ad.Tape().constant(np.zeros((3, 2))))
+
+
+def test_gather_vector_backward_matches_add_at_bitwise():
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=6)
+    ids = np.array([4, 0, 4, 5, 4])
+    g = rng.normal(size=5) * 10.0 ** rng.integers(-8, 8, 5)
+    expect = np.zeros(6)
+    np.add.at(expect, ids, g)
+    tape = ad.Tape()
+    picked = ad.gather(tape.variable(v, "v"), ids)
+    got = tape.backward(ad.matmul(picked, tape.constant(g)))["v"]
+    assert got.tobytes() == expect.tobytes()
+
+
+def test_value_consumed_only_by_hstack_is_freed_while_tape_lives():
+    tape = ad.Tape()
+    x = tape.variable(np.ones((2, 3)), "x")
+    mid = ad.scale(x, 2.0)
+    ref = weakref.ref(mid.value)
+    out = ad.hstack([mid, x])
+    del mid
+    assert ref() is None
+    grads = tape.backward(ad.logsumexp(ad.sum_rows(out)))
+    assert grads["x"].shape == (2, 3)
 
 
 def test_quadratic_fd_is_tight():

@@ -1,5 +1,7 @@
 """Tokenization, truncation, span enumeration and gold marking."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -94,12 +96,6 @@ def test_truncate_idempotent():
         assert once.sentences == twice.sentences
 
 
-def test_truncate_keeps_original_positions():
-    doc = tokenize("a b c d e f .")
-    out = truncate(doc, max_sentence_len=3)
-    assert out.positions == [0, 1, 2]
-
-
 def brute_force_spans(doc, limit):
     """Independent double-loop enumeration over sentence windows."""
     found = []
@@ -161,11 +157,11 @@ def encoded_gold_spans(doc, limit, answers):
 
 
 def test_span_counts_small_cases():
-    doc = Document(list("abcdefghij"), list(range(10)), [(0, 10)])
+    doc = Document(list("abcdefghij"), [(0, 10)])
     assert len(candidates(doc, 5).spans) == 40
-    doc1 = Document(["x"], [0], [(0, 1)])
+    doc1 = Document(["x"], [(0, 1)])
     assert len(candidates(doc1, 5).spans) == 1
-    doc3 = Document(list("abc"), [0, 1, 2], [(0, 3)])
+    doc3 = Document(list("abc"), [(0, 3)])
     assert len(candidates(doc3, 5).spans) == 6
     with pytest.raises(ContractError, match="span limit"):
         candidates(doc3, 0)
@@ -189,7 +185,7 @@ def test_span_enumeration_matches_brute_force_100_random_docs():
             start = len(tokens)
             tokens.extend(f"t{i}" for i in range(g))
             sentences.append((start, start + g))
-        doc = Document(tokens, list(range(len(tokens))), sentences)
+        doc = Document(tokens, sentences)
         got = sorted((si, start, start + length)
                      for _, si, start, length in span_rows(candidates(doc, 5)))
         assert got == brute_force_spans(doc, 5)
@@ -241,7 +237,7 @@ def test_unique_ids_match_dict_oracle_on_random_examples():
 
 
 def test_all_distinct_spans_give_one_unique_each():
-    doc = Document(["a", "b", "c"], [0, 1, 2], [(0, 3)])
+    doc = Document(["a", "b", "c"], [(0, 3)])
     cands = candidates(doc, 1)
     assert len(cands.surfaces) == len(cands.spans)
 
@@ -311,7 +307,7 @@ def test_question_in_span_examples():
 
 
 def test_question_in_span_ignores_punctuation_tokens():
-    doc = Document(["?", "!"], [0, 1], [(0, 2)])
+    doc = Document(["?", "!"], [(0, 2)])
     cands = candidates(doc, 5, question=["what", "?", "!"])
     assert cands.gamma.tolist() == [0.0, 0.0, 0.0]
 
@@ -319,26 +315,26 @@ def test_question_in_span_ignores_punctuation_tokens():
 def test_load_examples_wiki_and_web_modes():
     line = ('{"id": "q1", "question": "who is it ?", '
             '"documents": ["a b . c d .", "e f ."], "answers": ["a"]}')
-    wiki = load_examples(line + "\n", mode="wiki")
+    wiki = load_examples(io.StringIO(line + "\n"), mode="wiki")
     assert len(wiki) == 1 and len(wiki[0].documents) == 2
-    web = load_examples(line + "\n", mode="web")
+    web = load_examples(io.StringIO(line + "\n"), mode="web")
     assert len(web) == 2
     assert web[0].example_id == "q1::0" and web[1].example_id == "q1::1"
 
 
 def test_load_examples_errors():
     with pytest.raises(ParseError, match="line 1"):
-        load_examples("not json\n")
+        load_examples(io.StringIO("not json\n"))
     with pytest.raises(ParseError, match="missing field"):
-        load_examples('{"id": "x", "question": "q"}\n')
+        load_examples(io.StringIO('{"id": "x", "question": "q"}\n'))
     with pytest.raises(ContractError):
-        load_examples('{"id": "x", "question": "", '
-                      '"documents": ["d"], "answers": ["a"]}\n')
+        load_examples(io.StringIO('{"id": "x", "question": "", '
+                                  '"documents": ["d"], "answers": ["a"]}\n'))
     with pytest.raises(ParseError, match="empty answers"):
-        load_examples('{"id": "x", "question": "q", '
-                      '"documents": ["d"], "answers": []}\n')
+        load_examples(io.StringIO('{"id": "x", "question": "q", '
+                                  '"documents": ["d"], "answers": []}\n'))
     with pytest.raises(ContractError):
-        load_examples("{}", mode="bogus")
+        load_examples(io.StringIO("{}"), mode="bogus")
 
 
 GOOD_LINE = ('{"id": "q", "question": "who ?", "documents": ["a b ."], '
@@ -348,7 +344,7 @@ GOOD_LINE = ('{"id": "q", "question": "who ?", "documents": ["a b ."], '
 @pytest.mark.parametrize("line", ["3", '"text"', "[1, 2]", "null", "true"])
 def test_load_examples_non_object_line_names_line(line):
     with pytest.raises(ParseError, match="line 2: expected a JSON object"):
-        load_examples(GOOD_LINE + "\n" + line + "\n")
+        load_examples(io.StringIO(GOOD_LINE + "\n" + line + "\n"))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -360,7 +356,7 @@ def test_load_examples_fields_must_be_string_arrays(field, value):
               "answers": '["a"]', field: value}
     line = "{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}"
     with pytest.raises(ParseError, match=f"line 1: field '{field}' must be"):
-        load_examples(line + "\n")
+        load_examples(io.StringIO(line + "\n"))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -373,15 +369,23 @@ def test_load_examples_id_and_question_must_be_strings(field, value):
     line = "{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}"
     with pytest.raises(ParseError,
                        match=f"line 2: field '{field}' must be a string"):
-        load_examples(GOOD_LINE + "\n" + line + "\n")
+        load_examples(io.StringIO(GOOD_LINE + "\n" + line + "\n"))
 
 
 def test_load_examples_applies_truncation():
     docs = " ".join(["w"] * 100)
     line = ('{"id": "q", "question": "what ?", "documents": ["%s"], '
             '"answers": ["w"]}' % docs)
-    examples = load_examples(line + "\n", max_tokens=10, max_sentence_len=10)
+    examples = load_examples(io.StringIO(line + "\n"), max_tokens=10,
+                             max_sentence_len=10)
     assert len(examples[0].documents[0]) == 10
+
+
+def test_load_examples_from_path_object(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(GOOD_LINE, encoding="utf-8")  # no trailing newline
+    (example,) = load_examples(path)
+    assert example.example_id == "q" and example.answers == ["a"]
 
 
 def test_build_candidates_multi_document_sentence_indexing():

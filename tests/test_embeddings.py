@@ -16,7 +16,7 @@ from spancascade.errors import ContractError, DataError, ParseError
 
 
 def test_load_normalizes_vectors():
-    table = load_embeddings("the 0.1 0.2 0.2\n", 3)
+    table = load_embeddings(io.StringIO("the 0.1 0.2 0.2\n"), 3)
     np.testing.assert_allclose(table.lookup("the"),
                                [1 / 3, 2 / 3, 2 / 3], rtol=1e-12)
 
@@ -27,7 +27,7 @@ def test_all_loaded_vectors_unit_norm():
     for i in range(50):
         vec = rng.uniform(-5, 5, 4)
         lines.append(f"tok{i} " + " ".join(f"{v:.6f}" for v in vec))
-    table = load_embeddings("\n".join(lines) + "\n", 4)
+    table = load_embeddings(io.StringIO("\n".join(lines) + "\n"), 4)
     for i in range(50):
         assert abs(np.linalg.norm(table.lookup(f"tok{i}")) - 1.0) < 1e-6
 
@@ -40,22 +40,22 @@ def test_empty_stream_gives_empty_table():
 
 def test_wrong_component_count_names_line():
     with pytest.raises(ParseError, match="line 2"):
-        load_embeddings("a 1 2 3\nb 1 2\n", 3)
+        load_embeddings(io.StringIO("a 1 2 3\nb 1 2\n"), 3)
 
 
 def test_bad_number_names_line():
     with pytest.raises(ParseError, match="line 1"):
-        load_embeddings("a 1 2 oops\n", 3)
+        load_embeddings(io.StringIO("a 1 2 oops\n"), 3)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e999"])
 def test_non_finite_value_names_line(bad):
     with pytest.raises(ParseError, match="line 2: non-finite"):
-        load_embeddings(f"a 1 2\nb 1 {bad}\n", 2)
+        load_embeddings(io.StringIO(f"a 1 2\nb 1 {bad}\n"), 2)
 
 
 def test_extreme_magnitudes_normalize_to_unit_vectors():
-    table = load_embeddings("a 1e200 -1e200\nb 1e-200 0\n", 2)
+    table = load_embeddings(io.StringIO("a 1e200 -1e200\nb 1e-200 0\n"), 2)
     np.testing.assert_allclose(table.lookup("a"), [0.5 ** 0.5, -0.5 ** 0.5],
                                rtol=1e-15)
     np.testing.assert_array_equal(table.lookup("b"), [1.0, 0.0])
@@ -69,22 +69,22 @@ def test_constructor_rejects_non_finite_vector(bad):
 
 def test_zero_norm_vector_rejected():
     with pytest.raises(DataError):
-        load_embeddings("a 0 0 0\n", 3)
+        load_embeddings(io.StringIO("a 0 0 0\n"), 3)
 
 
 def test_duplicate_token_first_wins():
-    table = load_embeddings("a 1 0\na 0 1\n", 2)
+    table = load_embeddings(io.StringIO("a 1 0\na 0 1\n"), 2)
     np.testing.assert_array_equal(table.lookup("a"), [1.0, 0.0])
 
 
 def test_lookup_case_folds():
-    table = load_embeddings("Paris 0 1\n", 2)
+    table = load_embeddings(io.StringIO("Paris 0 1\n"), 2)
     np.testing.assert_array_equal(table.lookup("PARIS"), table.lookup("paris"))
     np.testing.assert_array_equal(table.lookup("Paris"), [0.0, 1.0])
 
 
 def test_oov_deterministic_and_from_bank():
-    table = load_embeddings("a 1 0\n", 2, seed=5)
+    table = load_embeddings(io.StringIO("a 1 0\n"), 2, seed=5)
     v1 = table.lookup("zzz-not-there")
     v2 = table.lookup("zzz-not-there")
     assert v1.tobytes() == v2.tobytes()
@@ -124,7 +124,7 @@ def test_lookup_rejects_empty_token():
 
 
 def test_lookup_all_stacks():
-    table = load_embeddings("a 1 0\nb 0 1\n", 2)
+    table = load_embeddings(io.StringIO("a 1 0\nb 0 1\n"), 2)
     mat = table.lookup_all(["a", "b", "a"])
     assert mat.shape == (3, 2)
     np.testing.assert_array_equal(mat[0], mat[2])
@@ -148,4 +148,11 @@ def test_load_from_file(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("hello 3 4\n")
     table = load_embeddings(str(path), 2)
+    np.testing.assert_allclose(table.lookup("hello"), [0.6, 0.8], rtol=1e-12)
+
+
+def test_load_from_path_object(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_text("hello 3 4")  # no trailing newline
+    table = load_embeddings(path, 2)
     np.testing.assert_allclose(table.lookup("hello"), [0.6, 0.8], rtol=1e-12)

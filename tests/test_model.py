@@ -42,7 +42,7 @@ def test_question_vector_singleton_is_the_token():
     tape = ad.Tape()
     params = mdl.CascadeParams.initialize(ARCH, 1).bind(tape)
     q = table.lookup_all(["only"])
-    out = mdl.question_vector(tape, q, params)
+    out = mdl.question_vector(tape.constant(q), params)
     np.testing.assert_allclose(out.value, q[0], rtol=1e-12)
 
 
@@ -54,7 +54,7 @@ def test_question_vector_uniform_weights_give_mean():
     # zero heads force equal logits
     params.linear_q.w[:] = 0.0
     bound = params.bind(tape)
-    out = mdl.question_vector(tape, q, bound)
+    out = mdl.question_vector(tape.constant(q), bound)
     np.testing.assert_allclose(out.value, q.mean(axis=0), rtol=1e-12)
 
 
@@ -65,7 +65,7 @@ def test_question_vector_weights_are_probabilities(softmax_spy):
         tape = ad.Tape()
         bound = mdl.CascadeParams.initialize(ARCH, trial).bind(tape)
         softmax_spy.clear()
-        mdl.question_vector(tape, q, bound)
+        mdl.question_vector(tape.constant(q), bound)
         (weights,) = softmax_spy
         assert weights.shape == (q.shape[0],)
         assert abs(weights.sum() - 1.0) < 1e-12
@@ -76,13 +76,19 @@ def test_question_vector_weights_are_probabilities(softmax_spy):
 # span embeddings and level-1 features
 
 
-def test_span_embedding_appends_flag():
-    avg = np.arange(6.0).reshape(2, 3)
-    gamma = np.array([1.0, 0.0])
-    out = mdl.span_embeddings(avg, gamma)
-    assert out.shape == (2, 4)
-    np.testing.assert_array_equal(out[:, -1], gamma)
-    np.testing.assert_array_equal(out[:, :3], avg)
+def test_question_span_columns_rebuild_phi1(toy):
+    """phi1 reads [span_avg, gamma, q_tilde, gamma], in that order."""
+    _, _, _, enc, params = toy
+    scores, _ = run_tape(params, enc)
+    tape = ad.Tape()
+    bound = params.bind(tape)
+    q_tilde = mdl.question_vector(tape.constant(enc.question), bound).value
+    gamma = enc.gamma[:, None]
+    x = np.hstack([enc.span_avg, gamma,
+                   np.tile(q_tilde, (enc.n_spans, 1)), gamma])
+    h = ad.ffnn(tape.constant(x), bound.ffnn_qs)
+    phi1 = ad.linear(h, bound.linear_qs).value
+    np.testing.assert_allclose(phi1, scores.phi1.value, rtol=0, atol=1e-12)
 
 
 def test_encode_single_token_span_average_is_embedding(toy):
@@ -168,13 +174,20 @@ def test_forward_deterministic_bitwise(toy):
 # attention
 
 
+def attend(tape, bound, q, g):
+    """``sentence_attention`` on plain arrays, projecting the question."""
+    q = tape.constant(q)
+    q_projected = ad.ffnn(q, bound.ffnn_att1)
+    return mdl.sentence_attention(q, q_projected, tape.constant(g), bound)
+
+
 def test_attention_singleton_alignment_is_one(softmax_spy):
     tape = ad.Tape()
     bound = mdl.CascadeParams.initialize(ARCH, 0).bind(tape)
     rng = np.random.default_rng(0)
     q = rng.normal(size=(1, 8))
     g = rng.normal(size=(1, 8))
-    mdl.sentence_attention(tape, q, g, bound)
+    attend(tape, bound, q, g)
     assert len(softmax_spy) == 2  # one alignment row, one column
     for vec in softmax_spy:
         np.testing.assert_array_equal(vec, [1.0])
@@ -185,7 +198,7 @@ def test_attention_symmetric_for_identical_sequences():
     bound = mdl.CascadeParams.initialize(ARCH, 0).bind(tape)
     rng = np.random.default_rng(1)
     q = rng.normal(size=(3, 8))
-    q_bar, g_bar = mdl.sentence_attention(tape, q, q.copy(), bound)
+    q_bar, g_bar = attend(tape, bound, q, q.copy())
     np.testing.assert_allclose(q_bar.value, g_bar.value, rtol=1e-12)
 
 
@@ -195,9 +208,9 @@ def test_attention_permuting_sentence_tokens_keeps_summaries():
     rng = np.random.default_rng(2)
     q = rng.normal(size=(2, 8))
     g = rng.normal(size=(3, 8))
-    qb1, gb1 = mdl.sentence_attention(tape, q, g, bound)
+    qb1, gb1 = attend(tape, bound, q, g)
     perm = [2, 0, 1]
-    qb2, gb2 = mdl.sentence_attention(tape, q, g[perm], bound)
+    qb2, gb2 = attend(tape, bound, q, g[perm])
     np.testing.assert_allclose(qb1.value, qb2.value, rtol=1e-10)
     np.testing.assert_allclose(gb1.value, gb2.value, rtol=1e-10)
 
@@ -226,9 +239,8 @@ def test_level2_same_inputs_same_score():
     qb = np.repeat(rng.normal(size=(1, 8)), 2, axis=0)
     gb = np.repeat(rng.normal(size=(1, 8)), 2, axis=0)
     gamma = np.ones((2, 1))
-    _, phi3 = mdl.level2(tape, [tape.constant(h), tape.constant(h)],
-                         tape.constant(qb), tape.constant(gb),
-                         tape.constant(gamma), bound)
+    columns = [tape.constant(x) for x in (h, h, qb, gb, gamma)]
+    _, phi3 = mdl.submodel(columns, bound.ffnn_l2, bound.linear_l2)
     assert phi3.value[0] == phi3.value[1]
 
 
@@ -282,8 +294,8 @@ def test_level3_rejects_empty(toy):
     tape = ad.Tape()
     bound = params.bind(tape)
     with pytest.raises(ContractError):
-        mdl.level3_aggregate(tape, tape.constant(np.zeros((1, 8))),
-                             np.array([0]), 0, bound)
+        mdl.level3_aggregate(tape.constant(np.zeros((1, 8))), np.array([0]), 0,
+                             bound)
 
 
 # ---------------------------------------------------------------------------
