@@ -325,11 +325,8 @@ def sum_rows(a: Tensor) -> Tensor:
     if a.value.ndim != 2:
         raise DimensionError(f"sum_rows expects a matrix, got shape {a.value.shape}")
     n = a.value.shape[0]
-
-    def back(g):
-        return (np.broadcast_to(g, (n, g.shape[0])),)
-
-    return a.tape._push(a.value.sum(axis=0), (a.idx,), back)
+    return a.tape._push(a.value.sum(axis=0), (a.idx,),
+                        lambda g: (np.broadcast_to(g, (n, g.shape[0])),))
 
 
 def _check_row_ids(idx: Array, n: int, op: str) -> None:
@@ -362,8 +359,14 @@ def gather(a: Tensor, idx) -> Tensor:
     return a.tape._push(a.value[idx], (a.idx,), back)
 
 
-def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Sum matrix rows that share a segment id, in row order."""
+def segment_sum(a: Tensor, segment_ids, num_segments: int,
+                into: Tensor | None = None) -> Tensor:
+    """Sum matrix rows that share a segment id, in row order.
+
+    ``into``, an earlier result, gets the rows added to its sums in place
+    (no backward reads a sum), each sum continuing in row order: chained
+    calls give one call's bits at a cost in rows, not in num_segments.
+    """
     segment_ids = np.asarray(segment_ids, dtype=np.intp)
     if a.value.ndim != 2:
         raise DimensionError(f"segment_sum expects a matrix, got {a.value.shape}")
@@ -372,12 +375,19 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
             f"{a.value.shape[0]} rows but {segment_ids.shape[0]} segment ids"
         )
     _check_row_ids(segment_ids, num_segments, "segment_sum")
-    out = _scatter_add_rows(a.value, segment_ids, num_segments)
-
-    def back(g):
-        return (g[segment_ids],)
-
-    return a.tape._push(out, (a.idx,), back)
+    if into is None:
+        out = _scatter_add_rows(a.value, segment_ids, num_segments)
+        return a.tape._push(out, (a.idx,), lambda g: (g[segment_ids],))
+    _check_same_tape(a, into)
+    out = into.value
+    if out.shape != (num_segments, a.value.shape[1]):
+        raise DimensionError(f"segment_sum into a sum of shape {out.shape}")
+    # seed each touched segment's bincount slot with its sum so far
+    touched, local = np.unique(segment_ids, return_inverse=True)
+    out[touched] = _scatter_add_rows(
+        np.concatenate([out[touched], a.value]),
+        np.concatenate([np.arange(touched.size), local]), touched.size)
+    return a.tape._push(out, (into.idx, a.idx), lambda g: (g, g[segment_ids]))
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +407,7 @@ def softmax_normalize(a: Tensor) -> Tensor:
     if a.value.shape[0] == 0:
         raise EmptyCandidateError("softmax over an empty candidate set")
     y = _softmax(a.value, axis=0)
-
-    def back(g):
-        return (y * (g - np.dot(g, y)),)
-
-    return a.tape._push(y, (a.idx,), back)
+    return a.tape._push(y, (a.idx,), lambda g: (y * (g - np.dot(g, y)),))
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -411,11 +417,8 @@ def softmax_rows(a: Tensor) -> Tensor:
     if a.value.shape[1] == 0:
         raise EmptyCandidateError("softmax over empty rows")
     y = _softmax(a.value, axis=1)
-
-    def back(g):
-        return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
-
-    return a.tape._push(y, (a.idx,), back)
+    return a.tape._push(y, (a.idx,),
+                        lambda g: (y * (g - (g * y).sum(axis=1, keepdims=True)),))
 
 
 def softmax_cols(a: Tensor) -> Tensor:
@@ -425,11 +428,8 @@ def softmax_cols(a: Tensor) -> Tensor:
     if a.value.shape[0] == 0:
         raise EmptyCandidateError("softmax over empty columns")
     y = _softmax(a.value, axis=0)
-
-    def back(g):
-        return (y * (g - (g * y).sum(axis=0, keepdims=True)),)
-
-    return a.tape._push(y, (a.idx,), back)
+    return a.tape._push(y, (a.idx,),
+                        lambda g: (y * (g - (g * y).sum(axis=0, keepdims=True)),))
 
 
 def logsumexp(a: Tensor) -> Tensor:

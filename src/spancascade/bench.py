@@ -6,13 +6,15 @@ no amount of parallel hardware can help it. The cascade side is
 ``score_example``, whose span and sentence stages are batched matrix work
 that BLAS threads spread over the cores. Timings use medians over
 repetitions with a discarded warmup run; multiply-accumulate counts are
-deterministic.
+deterministic. The cascade's peak memory is the ``tracemalloc`` peak (numpy
+reports its arrays to it) of one untimed pass.
 """
 
 from __future__ import annotations
 
 import csv
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,6 +178,7 @@ class BenchRow:
     speedup: float
     cascade_macs: int
     baseline_macs: int
+    cascade_peak_mb: float
 
 
 @dataclass
@@ -186,10 +189,22 @@ class BenchResult:
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["n", "cascade_ms", "baseline_ms", "speedup"])
+            writer.writerow(["n", "cascade_ms", "baseline_ms", "speedup",
+                             "cascade_peak_mb"])
             for r in self.rows:
                 writer.writerow([r.n, f"{r.cascade_ms:.3f}",
-                                 f"{r.baseline_ms:.3f}", f"{r.speedup:.3f}"])
+                                 f"{r.baseline_ms:.3f}", f"{r.speedup:.3f}",
+                                 f"{r.cascade_peak_mb:.1f}"])
+
+
+def _peak_mb(fn) -> float:
+    """Peak MB (2**20 bytes) that tracemalloc sees while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _median_time(fn, reps: int) -> float:
@@ -211,7 +226,8 @@ def run_benchmark(lengths, reps: int = 5,
     ``lengths`` must be sorted ascending. The cascade runs the inference
     pass; the baseline runs its sequential token loop. Speedup is baseline
     time / cascade time; absolute ratios depend on hardware and are
-    reported, not asserted.
+    reported, not asserted. The MAC count and peak memory come from one
+    extra cascade pass outside the timed ones.
     """
     lengths = [int(n) for n in lengths]
     if not lengths:
@@ -230,7 +246,7 @@ def run_benchmark(lengths, reps: int = 5,
         cands = build_candidates(example, arch.span_limit)
         enc = encode_example(example, cands, table, arch)
         stats = ForwardStats()
-        score_example(params, enc, stats=stats)  # count MACs once
+        peak_mb = _peak_mb(lambda: score_example(params, enc, stats=stats))
         cascade_s = _median_time(lambda: score_example(params, enc), reps)
         X = enc.doc_embed
         baseline_s = _median_time(
@@ -242,10 +258,11 @@ def run_benchmark(lengths, reps: int = 5,
             speedup=baseline_s / cascade_s,
             cascade_macs=stats.macs,
             baseline_macs=baseline_macs(X.shape[0], embed_dim, state_size),
+            cascade_peak_mb=peak_mb,
         )
         result.rows.append(row)
         if log is not None:
             log(f"n={row.n} "
                 f"cascade={row.cascade_ms:.1f}ms baseline={row.baseline_ms:.1f}ms "
-                f"speedup={row.speedup:.2f}x")
+                f"speedup={row.speedup:.2f}x peak={row.cascade_peak_mb:.1f}MB")
     return result

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParseError
-from .evaluation import gold_indices
+from .evaluation import gold_indices, normalize_answer
 
 _PUNCT = set(string.punctuation)
 _SENTENCE_ENDERS = {".", "?", "!"}
@@ -225,7 +225,13 @@ def build_candidates(example: QAExample,
 
     surfaces = [" ".join(raw[b:b + n])
                 for b, n in zip(begin[first].tolist(), length[first].tolist())]
-    gold = gold_indices(surfaces, example.answers)
+    # a gold unique's tokens all normalize to words of the aliases, so the
+    # gold rule needs to see only the uniques whose tokens all do
+    words = {w for a in example.answers for w in normalize_answer(a).split()}
+    fits = [all(w in words for w in normalize_answer(t).split()) for t in vocab]
+    maybe = np.flatnonzero(np.append(fits, True)[rows[first]].all(axis=1))
+    gold = maybe[gold_indices([surfaces[i] for i in maybe.tolist()],
+                              example.answers)]
 
     content = [vocab[t] for t in {t.lower() for t in example.question}
                if t in vocab and t not in STOPWORDS
@@ -234,7 +240,7 @@ def build_candidates(example: QAExample,
     spans = SpanTable(doc=doc, sentence=sentence - _starts(n_sents)[doc],
                       start=begin - tok_off[doc], length=length,
                       unique=rank[inverse.reshape(-1)])
-    return CandidateSet(spans, surfaces, np.array(gold, dtype=np.intp),
+    return CandidateSet(spans, surfaces, gold,
                         (hits[begin + length] > hits[begin]).astype(np.float64))
 
 

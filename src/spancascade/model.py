@@ -11,9 +11,9 @@ candidate, and produces the score used for prediction.
 
 One forward pass, ``forward_cascade``, serves both uses: training runs it
 on a recording tape, inference (``score_example``) on a non-recording one.
-Span stages run over row chunks of bounded size, which bounds their
-per-stage activations; ``EncodedExample``'s (S, e) feature arrays and
-level 3's mention rows still grow with the span count S.
+Span stages and level 3 run over row chunks of bounded size, so the working
+set is the O(n e) prefix sums, the O(U w) level-3 sums, O(S) indices and
+scores, and one chunk's features and activations.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -239,18 +239,33 @@ class EncodedExample:
     span_sentence: np.ndarray   # (S,) sentence index per span
     span_unique: np.ndarray     # (S,) unique-candidate id per span
     gamma: np.ndarray           # (S,) question-in-span flag, 0.0 or 1.0
-    span_avg: np.ndarray        # (S, e) mean token embedding of each span
-    ctx_left: np.ndarray        # (S, e) K-token left context average
-    ctx_right: np.ndarray       # (S, e) K-token right context average
+    csums: np.ndarray           # (n + documents, e) per-document prefix sums
+    span_rows: np.ndarray       # (S, 4) csums rows: lo, start, end, hi
+    context_size: int
     n_unique: int
     gold_spans: np.ndarray      # indices into the span list
     gold_uniques: np.ndarray    # indices into the unique list
     unique_surfaces: list
     mention_counts: np.ndarray
+    _all_features: tuple = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     @property
     def n_spans(self) -> int:
         return len(self.span_sentence)
+
+    def span_features(self, lo: int, hi: int) -> tuple:
+        """Span rows [lo, hi) as (span average, left context, right context),
+        each (hi - lo, e); the blocks of all rows are kept once built."""
+        if self._all_features is not None and hi - lo == self.n_spans:
+            return self._all_features
+        c, K = self.csums, self.context_size
+        left, start, end, right = self.span_rows[lo:hi].T
+        blocks = ((c[end] - c[start]) / (end - start)[:, None],
+                  (c[start] - c[left]) / K, (c[right] - c[end]) / K)
+        if hi - lo == self.n_spans:
+            self._all_features = blocks
+        return blocks
 
 
 def encode_example(example: QAExample, cands: CandidateSet,
@@ -259,6 +274,7 @@ def encode_example(example: QAExample, cands: CandidateSet,
 
     Context windows never cross document boundaries; positions outside a
     document contribute zero vectors (the sum is always divided by K).
+    Span features are kept as prefix-sum rows and built per chunk.
     """
     if not example.question:
         raise ContractError(f"example {example.example_id!r} has no question tokens")
@@ -287,11 +303,6 @@ def encode_example(example: QAExample, cands: CandidateSet,
     base = (tok_off + np.arange(len(docs)))[spans.doc]
     start = base + spans.start
     end = start + spans.length
-    lo = base + np.maximum(0, spans.start - K)
-    hi = base + np.minimum(sizes[spans.doc], spans.start + spans.length + K)
-    span_avg = (csums[end] - csums[start]) / spans.length[:, None]
-    ctx_left = (csums[start] - csums[lo]) / K
-    ctx_right = (csums[hi] - csums[end]) / K
     return EncodedExample(
         example_id=example.example_id,
         question=q_embed,
@@ -300,9 +311,12 @@ def encode_example(example: QAExample, cands: CandidateSet,
         span_sentence=(np.cumsum(n_sents) - n_sents)[spans.doc] + spans.sentence,
         span_unique=spans.unique,
         gamma=cands.gamma,
-        span_avg=span_avg,
-        ctx_left=ctx_left,
-        ctx_right=ctx_right,
+        csums=csums,
+        span_rows=np.stack([
+            base + np.maximum(0, spans.start - K), start, end,
+            base + np.minimum(sizes[spans.doc], spans.start + spans.length + K)],
+            axis=1),
+        context_size=K,
         n_unique=len(cands.surfaces),
         gold_spans=np.flatnonzero(np.isin(spans.unique, cands.gold_unique_ids)),
         gold_uniques=cands.gold_unique_ids,
@@ -330,10 +344,8 @@ class CascadeScores:
     phi4: object = None
 
     def values(self) -> "CascadeScores":
-        def v(x):
-            return x.value if isinstance(x, Tensor) else x
-        return CascadeScores(v(self.phi1), v(self.phi2), v(self.phi_comb),
-                             v(self.phi3), v(self.phi4))
+        return CascadeScores(**{level: x.value if isinstance(x, Tensor) else x
+                                for level, x in vars(self).items()})
 
 
 def question_vector(q: Tensor, bound: CascadeParams,
@@ -386,20 +398,22 @@ def sentence_attention(q: Tensor, q_projected: Tensor, g: Tensor,
     return q_bar, g_bar
 
 
-def level3_aggregate(mentions: Tensor, span_unique, n_unique: int,
-                     bound: CascadeParams, drop: DropoutState | None = None):
-    """Sum mention vectors per unique candidate, then score each candidate.
+def level3_aggregate(summed: Tensor, bound: CascadeParams,
+                     drop: DropoutState | None = None):
+    """Score each unique candidate from the sum of its mention vectors.
 
-    ``mentions`` holds one row per span: the aggregation net applied to the
-    span's level-2 hidden state and flag. Rows are summed in span-index
-    order, so permuting the mention list of a candidate cannot change its
-    score; duplicating a mention does (sum, not mean, semantics).
+    ``summed`` holds one row per unique, scored in row chunks; the rows
+    are sums, not means, so a duplicated mention changes its unique's score.
     """
+    n_unique = summed.value.shape[0]
     if n_unique < 1:
         raise ContractError("aggregation needs at least one unique candidate")
-    summed = ad.segment_sum(mentions, span_unique, n_unique)
-    h = ffnn(summed, bound.ffnn_l3, drop)
-    return h, linear(h, bound.linear_l3)
+    phis = []
+    for lo, hi in _chunk_ranges(n_unique):
+        rows = summed if hi - lo == n_unique else ad.gather(summed,
+                                                            np.arange(lo, hi))
+        phis.append(linear(ffnn(rows, bound.ffnn_l3, drop), bound.linear_l3))
+    return phis[0] if len(phis) == 1 else ad.concat(phis)
 
 
 def sentence_summaries(tape: Tape, q_const: Tensor, enc: EncodedExample,
@@ -407,21 +421,18 @@ def sentence_summaries(tape: Tape, q_const: Tensor, enc: EncodedExample,
                        stats: ForwardStats | None = None):
     """Attend/compare once per sentence; (n_sentences, w) q_bar and g_bar rows."""
     q_projected = ffnn(q_const, bound.ffnn_att1, drop)
-    q_bars, g_bars = [], []
-    for s, e in enc.sentence_ranges:
-        q_bar, g_bar = sentence_attention(
-            q_const, q_projected, tape.constant(enc.doc_embed[s:e]), bound,
-            drop, stats)
-        q_bars.append(q_bar)
-        g_bars.append(g_bar)
+    pairs = [sentence_attention(q_const, q_projected,
+                                tape.constant(enc.doc_embed[s:e]), bound,
+                                drop, stats)
+             for s, e in enc.sentence_ranges]
+    q_bars, g_bars = zip(*pairs)
     return ad.stack_rows(q_bars), ad.stack_rows(g_bars)
 
 
-# Rows per span-stage chunk, which bounds the per-stage activations of a
-# long document (the encoded features and level 3's mention rows still
-# hold every span); a training example with at most this many spans runs
-# as one chunk, drawing dropout masks level by level.
-_MAX_CHUNK_ROWS = 8192
+# Rows per span-stage or level-3 chunk, which bounds the activations of a
+# long document to one chunk's; a training example with at most this many
+# spans runs as one chunk, drawing dropout masks level by level.
+_MAX_CHUNK_ROWS = 2048
 
 
 def _chunk_ranges(n: int) -> list:
@@ -437,10 +448,11 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
     """Run every active level over an encoded example on the tape.
 
     The span stages (level 1, level 2 and level 3's mention transform) run
-    over row chunks whose results are joined in order, so level 3 sums the
-    same rows in the same order whatever the chunking. Sentence attention
-    runs once, after level 1 of the first chunk, so a one-chunk pass draws
-    dropout masks level by level.
+    over row chunks. Each chunk adds its mention rows into one running sum
+    per unique, in span order, so level 3 gets the same bits whatever the
+    chunking; permuting a unique's mentions only reorders its sum.
+    Sentence attention runs once, after level 1 of the first chunk, so a
+    one-chunk pass draws dropout masks level by level.
     """
     arch = bound.arch
     S = enc.n_spans
@@ -453,13 +465,11 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
     if arch.needs_question_nets:
         q_tilde = question_vector(q_const, bound, drop)
 
-    parts = {"phi1": [], "phi2": [], "phi_comb": [], "phi3": [], "mentions": []}
-    bars = None
+    parts = {"phi1": [], "phi2": [], "phi_comb": [], "phi3": []}
+    bars = summed = None
     for lo, hi in _chunk_ranges(S):
         gamma_col = tape.constant(enc.gamma[lo:hi, None])
-        s_avg = tape.constant(enc.span_avg[lo:hi])
-        ctx = [tape.constant(enc.ctx_left[lo:hi]),
-               tape.constant(enc.ctx_right[lo:hi])]
+        s_avg, *ctx = [tape.constant(x) for x in enc.span_features(lo, hi)]
         if q_tilde is not None:
             s_q = [s_avg, gamma_col, ad.tile_rows(q_tilde, hi - lo)]
         submodels = []
@@ -486,16 +496,15 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
                            bound.ffnn_l2, bound.linear_l2, drop)
         parts["phi3"].append(phi)
         if arch.use_level3:
-            parts["mentions"].append(
-                ffnn(ad.hstack([h3, gamma_col]), bound.ffnn_agg, drop))
+            mentions = ffnn(ad.hstack([h3, gamma_col]), bound.ffnn_agg, drop)
+            summed = ad.segment_sum(mentions, enc.span_unique[lo:hi],
+                                    enc.n_unique, into=summed)
 
-    joined = {level: (None if not xs else xs[0] if len(xs) == 1 else ad.concat(xs))
-              for level, xs in parts.items()}
-    mentions = joined.pop("mentions")
-    scores = CascadeScores(**joined)
-    if mentions is not None:
-        _, scores.phi4 = level3_aggregate(mentions, enc.span_unique,
-                                          enc.n_unique, bound, drop)
+    scores = CascadeScores(**{
+        level: None if not xs else xs[0] if len(xs) == 1 else ad.concat(xs)
+        for level, xs in parts.items()})
+    if summed is not None:
+        scores.phi4 = level3_aggregate(summed, bound, drop)
     if stats is not None:
         stats.macs += tape.stats.macs - macs_before
     return scores
@@ -524,13 +533,6 @@ def distributions(scores: CascadeScores) -> dict:
     return out
 
 
-def _max_over_mentions(phi_spans: np.ndarray, span_unique: np.ndarray,
-                       n_unique: int) -> np.ndarray:
-    out = np.full(n_unique, -np.inf)
-    np.fmax.at(out, span_unique, phi_spans)
-    return out
-
-
 def prediction_scores(scores: CascadeScores, enc: EncodedExample) -> np.ndarray:
     """Per-unique-candidate scores at the highest active level.
 
@@ -541,19 +543,15 @@ def prediction_scores(scores: CascadeScores, enc: EncodedExample) -> np.ndarray:
     vals = scores.values()
     if vals.phi4 is not None:
         return np.asarray(vals.phi4)
-    if vals.phi3 is not None:
-        span_phi = np.asarray(vals.phi3)
-    elif vals.phi_comb is not None:
-        span_phi = np.asarray(vals.phi_comb)
-    elif vals.phi1 is not None and vals.phi2 is not None:
-        span_phi = np.asarray(vals.phi1) + np.asarray(vals.phi2)
-    elif vals.phi1 is not None:
-        span_phi = np.asarray(vals.phi1)
-    elif vals.phi2 is not None:
-        span_phi = np.asarray(vals.phi2)
-    else:
+    level1 = [np.asarray(phi) for phi in (vals.phi1, vals.phi2) if phi is not None]
+    span_phi = (vals.phi3 if vals.phi3 is not None else
+                vals.phi_comb if vals.phi_comb is not None else
+                sum(level1[1:], level1[0]) if level1 else None)
+    if span_phi is None:
         raise ContractError("no active scoring level")
-    return _max_over_mentions(span_phi, enc.span_unique, enc.n_unique)
+    out = np.full(enc.n_unique, -np.inf)
+    np.fmax.at(out, enc.span_unique, np.asarray(span_phi))
+    return out
 
 
 @dataclass
@@ -600,10 +598,9 @@ def score_example(params: CascadeParams, enc: EncodedExample,
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         scores = forward_cascade(tape, params.bind(tape), enc,
                                  stats=stats).values()
-    for phi in (scores.phi1, scores.phi2, scores.phi_comb, scores.phi3,
-                scores.phi4):
-        if phi is not None and not np.all(np.isfinite(phi)):
-            raise NonFiniteError("non-finite score at inference")
+    if not all(np.all(np.isfinite(phi)) for phi in vars(scores).values()
+               if phi is not None):
+        raise NonFiniteError("non-finite score at inference")
     return scores
 
 

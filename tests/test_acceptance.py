@@ -141,8 +141,7 @@ def _take_spans(enc, rows):
     return dataclasses.replace(
         enc, span_sentence=enc.span_sentence[rows],
         span_unique=enc.span_unique[rows], gamma=enc.gamma[rows],
-        span_avg=enc.span_avg[rows], ctx_left=enc.ctx_left[rows],
-        ctx_right=enc.ctx_right[rows],
+        span_rows=enc.span_rows[rows],
         gold_spans=np.array([j for j, r in enumerate(rows) if r in gold],
                             dtype=np.intp))
 

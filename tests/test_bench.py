@@ -92,6 +92,7 @@ def test_run_benchmark_small_and_csv(tmp_path):
     assert [r.n for r in result.rows] == [60, 120]
     for row in result.rows:
         assert row.cascade_ms > 0 and row.baseline_ms > 0
+        assert row.cascade_peak_mb > 0
         assert row.speedup == pytest.approx(
             row.baseline_ms / row.cascade_ms, rel=1e-9)
     # operation counts are deterministic and scale with n
@@ -100,7 +101,7 @@ def test_run_benchmark_small_and_csv(tmp_path):
     path = tmp_path / "bench.csv"
     result.write_csv(path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "n,cascade_ms,baseline_ms,speedup"
+    assert lines[0] == "n,cascade_ms,baseline_ms,speedup,cascade_peak_mb"
     assert len(lines) == 3
 
 

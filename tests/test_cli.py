@@ -303,7 +303,7 @@ def test_bench_writes_csv(tmp_path, capsys):
                  "--out", str(out)])
     assert code == EXIT_OK
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "n,cascade_ms,baseline_ms,speedup"
+    assert lines[0] == "n,cascade_ms,baseline_ms,speedup,cascade_peak_mb"
     assert len(lines) == 3
 
 

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spancascade.corpus import (
     Document,
@@ -15,7 +17,7 @@ from spancascade.corpus import (
 )
 from spancascade.embeddings import random_table
 from spancascade.errors import ContractError, ParseError
-from spancascade.evaluation import normalize_answer
+from spancascade.evaluation import gold_indices, normalize_answer
 from spancascade.model import Architecture, encode_example
 
 
@@ -289,6 +291,35 @@ def test_mark_gold_matches_oracle_on_random_examples():
         assert encoded_gold_spans(doc, 5, answers) == expect
         gold_uniques = sorted({int(cands.spans.unique[i]) for i in expect})
         assert cands.gold_unique_ids.tolist() == gold_uniques
+
+
+# articles, punctuation, mixed case and non-ASCII tokens, and tokens that
+# normalize to two words or to none
+GOLD_TOKENS = ["The", "the", "A", "an", "Vel", "vel", "VEL", "tost", ",", ".",
+               "'", "o'neil", "O'Neil", "rock-n-roll", "Über", "über",
+               "naïve", "NAÏVE", "ΣΑΣ", "σας", "İstanbul", "straße", "x.y",
+               "--", "the.", "(a)"]
+gold_tokens = st.sampled_from(GOLD_TOKENS) | st.text(
+    st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
+    min_size=1, max_size=3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(tokens=st.lists(gold_tokens, min_size=1, max_size=30),
+       cut=st.integers(0, 30), window=st.integers(0, 30),
+       answers=st.lists(st.lists(gold_tokens, min_size=1, max_size=4)
+                        .map(" ".join), max_size=3))
+def test_gold_uniques_match_gold_rule_over_all_surfaces(tokens, cut, window,
+                                                        answers):
+    """Gold marking checks the rule only on the uniques whose tokens all
+    normalize to alias words; that must find every unique the rule marks."""
+    cut = min(cut, len(tokens))
+    answers = answers + [" ".join(tokens[window:window + 2]).swapcase()]
+    sentences = [(0, cut), (cut, len(tokens))] if 0 < cut < len(tokens) \
+        else [(0, len(tokens))]
+    cands = candidates(Document(tokens, sentences), 5, answers)
+    assert cands.gold_unique_ids.tolist() == gold_indices(cands.surfaces,
+                                                          answers)
 
 
 def span_gamma(question, doc_text, span_text):

@@ -84,7 +84,8 @@ def test_question_span_columns_rebuild_phi1(toy):
     bound = params.bind(tape)
     q_tilde = mdl.question_vector(tape.constant(enc.question), bound).value
     gamma = enc.gamma[:, None]
-    x = np.hstack([enc.span_avg, gamma,
+    span_avg, _, _ = enc.span_features(0, enc.n_spans)
+    x = np.hstack([span_avg, gamma,
                    np.tile(q_tilde, (enc.n_spans, 1)), gamma])
     h = ad.ffnn(tape.constant(x), bound.ffnn_qs)
     phi1 = ad.linear(h, bound.linear_qs).value
@@ -95,24 +96,27 @@ def test_encode_single_token_span_average_is_embedding(toy):
     example, table, cands, enc, _ = toy
     i = np.flatnonzero(cands.spans.length == 1)[0]
     tok = example.documents[0].tokens[cands.spans.start[i]]
-    np.testing.assert_allclose(enc.span_avg[i], table.lookup(tok), rtol=1e-12)
+    span_avg, _, _ = enc.span_features(0, enc.n_spans)
+    np.testing.assert_allclose(span_avg[i], table.lookup(tok), rtol=1e-12)
 
 
 def test_encode_context_zero_at_document_edges(toy):
     example, table, cands, enc, _ = toy
     spans = cands.spans
+    _, ctx_left, ctx_right = enc.span_features(0, enc.n_spans)
     first = np.flatnonzero(spans.start == 0)[0]
-    np.testing.assert_array_equal(enc.ctx_left[first], np.zeros(8))
+    np.testing.assert_array_equal(ctx_left[first], np.zeros(8))
     n = len(example.documents[0].tokens)
     last = np.flatnonzero(spans.start + spans.length == n)[0]
-    np.testing.assert_array_equal(enc.ctx_right[last], np.zeros(8))
+    np.testing.assert_array_equal(ctx_right[last], np.zeros(8))
 
 
 def test_encode_context_is_adjacent_token_for_k1(toy):
     example, table, cands, enc, _ = toy
     idx = np.flatnonzero(cands.spans.start == 1)[0]
     left_tok = example.documents[0].tokens[0]
-    np.testing.assert_allclose(enc.ctx_left[idx], table.lookup(left_tok),
+    _, ctx_left, _ = enc.span_features(0, enc.n_spans)
+    np.testing.assert_allclose(ctx_left[idx], table.lookup(left_tok),
                                rtol=1e-12)
 
 
@@ -255,8 +259,7 @@ def take_spans(enc, rows):
     return dataclasses.replace(
         enc, span_sentence=enc.span_sentence[rows],
         span_unique=enc.span_unique[rows], gamma=enc.gamma[rows],
-        span_avg=enc.span_avg[rows], ctx_left=enc.ctx_left[rows],
-        ctx_right=enc.ctx_right[rows],
+        span_rows=enc.span_rows[rows],
         gold_spans=np.array([j for j, r in enumerate(rows) if r in gold],
                             dtype=np.intp))
 
@@ -294,8 +297,7 @@ def test_level3_rejects_empty(toy):
     tape = ad.Tape()
     bound = params.bind(tape)
     with pytest.raises(ContractError):
-        mdl.level3_aggregate(tape.constant(np.zeros((1, 8))), np.array([0]), 0,
-                             bound)
+        mdl.level3_aggregate(tape.constant(np.zeros((0, 8))), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +334,8 @@ def _fake_enc(n_unique, surfaces=None, counts=None):
         doc_embed=np.zeros((0, 2)), sentence_ranges=[],
         span_sentence=np.zeros(0, dtype=np.intp),
         span_unique=np.zeros(0, dtype=np.intp), gamma=np.zeros(0),
-        span_avg=np.zeros((0, 2)), ctx_left=np.zeros((0, 2)),
-        ctx_right=np.zeros((0, 2)), n_unique=n_unique,
+        csums=np.zeros((1, 2)), span_rows=np.zeros((0, 4), dtype=np.intp),
+        context_size=1, n_unique=n_unique,
         gold_spans=np.zeros(0, dtype=np.intp),
         gold_uniques=np.zeros(0, dtype=np.intp),
         unique_surfaces=surfaces or [f"u{i}" for i in range(n_unique)],
@@ -434,6 +436,83 @@ def test_chunked_forward_gradients(toy, monkeypatch):
     arrays = {k: v.copy() for k, v in params.as_dict().items()}
     result = ad.finite_difference_check(loss_fn, arrays)
     assert result.max_rel_error < 1e-3, result
+
+
+def test_level3_running_sum_is_bitwise_one_sum(monkeypatch):
+    """Chunks adding into one running sum give the one-shot sum's bits;
+    a sum of per-chunk partial sums would not."""
+    monkeypatch.setattr(mdl, "_MAX_CHUNK_ROWS", 7)
+    example = QAExample("x", ["who", "met", "vel", "?"],
+                        [tokenize("vel vel vel tost . vel vel vel .")], ["vel"])
+    spans = build_candidates(example).spans
+    ids, S, U = spans.unique, len(spans), int(spans.unique.max()) + 1
+    chunks = mdl._chunk_ranges(S)
+    chunk_of = np.searchsorted([hi for _, hi in chunks], np.arange(S),
+                               side="right")
+    # a unique whose mentions straddle a chunk boundary, two or more of
+    # them in the later chunk
+    assert len(chunks) > 1 and any(
+        len(set(chunk_of[ids == u])) > 1
+        and np.sum(chunk_of[ids == u] == chunk_of[ids == u].max()) >= 2
+        for u in range(U))
+    rows = np.random.default_rng(4).normal(size=(S, 5)) \
+        * np.logspace(-3, 3, S)[:, None]
+
+    def chained(tape, x):
+        summed = None
+        for lo, hi in chunks:
+            summed = ad.segment_sum(ad.gather(x, np.arange(lo, hi)),
+                                    ids[lo:hi], U, into=summed)
+        return summed
+
+    for record in (True, False):
+        tape = ad.Tape(record=record)
+        whole = ad.segment_sum(tape.constant(rows), ids, U).value
+        assert chained(tape, tape.constant(rows)).value.tobytes() \
+            == whole.tobytes()
+    partial = sum(ad.segment_sum(ad.Tape().constant(rows[lo:hi]), ids[lo:hi],
+                                 U).value for lo, hi in chunks)
+    assert partial.tobytes() != whole.tobytes()
+
+    weights = np.random.default_rng(5).normal(size=5)
+
+    def loss_fn(p):
+        tape = ad.Tape()
+        summed = chained(tape, tape.variable(p["x"], "x"))
+        return ad.logsumexp(ad.matmul(summed, tape.constant(weights)))
+
+    result = ad.finite_difference_check(loss_fn, {"x": rows / 1e3})
+    assert result.max_rel_error < 1e-3, result
+
+
+def test_score_example_memory_grows_with_uniques_not_spans():
+    """The working set of inference holds per-unique sums and one chunk,
+    not per-span features or mention rows: one sentence repeated 500 or
+    2000 times keeps 90 uniques while the span count grows fourfold."""
+    import tracemalloc
+
+    e = 16
+    arch = mdl.Architecture(embed_dim=e, hidden_width=e)
+    params = mdl.CascadeParams.initialize(arch, 0)
+    words = [f"w{i}" for i in range(19)]
+    table = random_table(words + ["."], e, seed=0)
+    spans, peaks = [], []
+    for repeats in (500, 2000):
+        doc = tokenize(" ".join(words + ["."]) + (" " + " ".join(words + ["."]))
+                       * (repeats - 1))
+        example = QAExample("mem", ["w3", "w7"], [doc], ["w5"])
+        enc = mdl.encode_example(example, build_candidates(example),
+                                 table, arch)
+        assert enc.n_unique == 90 and enc.n_spans == 90 * repeats
+        tracemalloc.start()
+        try:
+            mdl.score_example(params, enc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        spans.append(enc.n_spans)
+    per_span = (peaks[1] - peaks[0]) / (spans[1] - spans[0])
+    assert per_span < 8 * e, (per_span, peaks)
 
 
 def test_mac_count_matches_between_paths(toy):
