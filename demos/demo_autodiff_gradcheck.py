@@ -27,10 +27,11 @@ def main():
     )
     head = ad.LinearParams(w=tape.variable(rng.normal(size=4), "head.w"),
                            z=tape.variable(np.zeros(()), "head.z"))
-    x = tape.constant(np.array([0.3, -1.2, 0.8]))
-    score = ad.linear(ad.ffnn(x, net), head)
-    print(f"toy ffnn+linear score: {score.item():+.6f}")
-    grads = tape.backward(score)
+    x = tape.constant(np.array([[0.3, -1.2, 0.8]]))  # one input row
+    scores = ad.linear(ad.ffnn(x, net), head)        # one score per row
+    print(f"toy ffnn+linear score: {float(scores.value[0]):+.6f}")
+    # the log-sum-exp of a single score is that score: a scalar root
+    grads = tape.backward(ad.logsumexp(scores))
     print(f"gradient w.r.t. head.w: {grads['head.w']}")
 
     # 2. the full cascade on the fixed toy instance

@@ -12,7 +12,7 @@ from .autodiff import (
     ffnn,
     finite_difference_check,
     linear,
-    softmax_normalize,
+    softmax,
 )
 from .bench import BiLstmParams, bilstm_forward, run_benchmark
 from .corpus import (

@@ -4,12 +4,16 @@ Every value is a float64 numpy array recorded as a node on a ``Tape``.
 Operations are free functions that push nodes; ``Tape.backward`` walks the
 nodes in reverse creation order (a valid topological order by construction)
 and accumulates gradients in that fixed order, so repeated runs are
-bitwise identical. Only the operations the span-scoring cascade needs are
-provided: two-layer ReLU nets (one fused node each), linear score heads,
-softmax normalization, row gather/scatter, segment sums and log-sum-exp.
-There is no broadcasting beyond a bias row / scalar and no GPU support.
-A tape built with ``record=False`` runs the same operations for inference
-without keeping any node.
+bitwise identical. Each op takes only the shapes the cascade gives it:
+``ffnn`` (one fused node) maps (n, d) rows to (n, w) rows and ``linear``
+maps those to (n,) scores; ``softmax`` runs over a vector or along one
+axis of a matrix; ``logsumexp`` maps (n,) to a scalar; ``matmul`` takes
+1-D or 2-D operands; ``add`` takes equal shapes, matrix + bias row or
+anything + scalar; ``scale``, ``relu`` and ``dropout`` are elementwise;
+``transpose``, ``concat``, ``hstack``, ``stack_rows``, ``tile_rows``,
+``sum_rows``, ``gather`` and ``segment_sum`` move entries and rows. A tape
+built with ``record=False`` runs the same operations for inference without
+keeping any node.
 """
 
 from __future__ import annotations
@@ -52,20 +56,7 @@ class Tensor:
         self.idx = idx
         self.value = value
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
-
-    def item(self) -> float:
-        return float(self.value)
-
     def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            other = self.tape.constant(other)
         return add(self, scale(other, -1.0))
 
     def __repr__(self):
@@ -170,32 +161,20 @@ def _check_same_tape(*tensors):
     return tape
 
 
-def _as_tensor(tape, x):
-    if isinstance(x, Tensor):
-        return x
-    return tape.constant(x)
-
-
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
 
 
-def add(a: Tensor, b) -> Tensor:
+def add(a: Tensor, b: Tensor) -> Tensor:
     """a + b for equal shapes, matrix + bias row, or anything + scalar."""
-    tape = a.tape
-    b = _as_tensor(tape, b)
-    _check_same_tape(a, b)
+    tape = _check_same_tape(a, b)
     av, bv = a.value, b.value
     if av.shape == bv.shape:
         back = lambda g: (g, g)
     elif bv.ndim == 0:
         back = lambda g: (g, np.sum(g))
-    elif av.ndim == 0:
-        back = lambda g: (np.sum(g), g)
-    elif av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
+    elif av.ndim == 2 and bv.shape == av.shape[1:]:
         back = lambda g: (g, g.sum(axis=0))
-    elif bv.ndim == 2 and av.ndim == 1 and bv.shape[1] == av.shape[0]:
-        back = lambda g: (g.sum(axis=0), g)
     else:
         raise DimensionError(f"cannot add shapes {av.shape} and {bv.shape}")
     return tape._push(av + bv, (a.idx, b.idx), back)
@@ -210,28 +189,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix/vector product for the 2x2 combinations of 1-D and 2-D."""
     tape = _check_same_tape(a, b)
     av, bv = a.value, b.value
-    if av.ndim == 2 and bv.ndim == 2:
-        if av.shape[1] != bv.shape[0]:
-            raise DimensionError(f"matmul shapes {av.shape} and {bv.shape}")
-        tape.stats.macs += av.shape[0] * av.shape[1] * bv.shape[1]
-        back = lambda g: (g @ bv.T, av.T @ g)
-    elif av.ndim == 2 and bv.ndim == 1:
-        if av.shape[1] != bv.shape[0]:
-            raise DimensionError(f"matmul shapes {av.shape} and {bv.shape}")
-        tape.stats.macs += av.shape[0] * av.shape[1]
-        back = lambda g: (np.outer(g, bv), av.T @ g)
-    elif av.ndim == 1 and bv.ndim == 2:
-        if av.shape[0] != bv.shape[0]:
-            raise DimensionError(f"matmul shapes {av.shape} and {bv.shape}")
-        tape.stats.macs += bv.shape[0] * bv.shape[1]
-        back = lambda g: (bv @ g, np.outer(av, g))
-    elif av.ndim == 1 and bv.ndim == 1:
-        if av.shape[0] != bv.shape[0]:
-            raise DimensionError(f"matmul shapes {av.shape} and {bv.shape}")
-        tape.stats.macs += av.shape[0]
-        back = lambda g: (g * bv, g * av)
-    else:
+    if not (av.ndim in (1, 2) and bv.ndim in (1, 2)
+            and av.shape[-1] == bv.shape[0]):
         raise DimensionError(f"matmul shapes {av.shape} and {bv.shape}")
+    tape.stats.macs += av.size * (bv.shape[1] if bv.ndim == 2 else 1)
+    if av.ndim == 2 and bv.ndim == 2:
+        back = lambda g: (g @ bv.T, av.T @ g)
+    elif av.ndim == 2:
+        back = lambda g: (np.outer(g, bv), av.T @ g)
+    elif bv.ndim == 2:
+        back = lambda g: (bv @ g, np.outer(av, g))
+    else:
+        back = lambda g: (g * bv, g * av)
     return tape._push(av @ bv, (a.idx, b.idx), back)
 
 
@@ -400,36 +369,21 @@ def _softmax(v: Array, axis: int) -> Array:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_normalize(a: Tensor) -> Tensor:
-    """Probability vector over 1-D scores (max-subtracted for safety)."""
-    if a.value.ndim != 1:
-        raise DimensionError(f"softmax expects a vector, got {a.value.shape}")
-    if a.value.shape[0] == 0:
-        raise EmptyCandidateError("softmax over an empty candidate set")
-    y = _softmax(a.value, axis=0)
-    return a.tape._push(y, (a.idx,), lambda g: (y * (g - np.dot(g, y)),))
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of a matrix."""
-    if a.value.ndim != 2:
-        raise DimensionError(f"softmax_rows expects a matrix, got {a.value.shape}")
-    if a.value.shape[1] == 0:
-        raise EmptyCandidateError("softmax over empty rows")
-    y = _softmax(a.value, axis=1)
-    return a.tape._push(y, (a.idx,),
-                        lambda g: (y * (g - (g * y).sum(axis=1, keepdims=True)),))
-
-
-def softmax_cols(a: Tensor) -> Tensor:
-    """Column-wise softmax of a matrix."""
-    if a.value.ndim != 2:
-        raise DimensionError(f"softmax_cols expects a matrix, got {a.value.shape}")
-    if a.value.shape[0] == 0:
-        raise EmptyCandidateError("softmax over empty columns")
-    y = _softmax(a.value, axis=0)
-    return a.tape._push(y, (a.idx,),
-                        lambda g: (y * (g - (g * y).sum(axis=0, keepdims=True)),))
+def softmax(a: Tensor, axis: int = 0) -> Tensor:
+    """Softmax of a vector, or of a matrix along ``axis`` (max-subtracted)."""
+    shape = a.value.shape
+    if not 0 <= axis < a.value.ndim <= 2:
+        raise DimensionError(f"softmax along axis {axis} of shape {shape}")
+    if shape[axis] == 0:
+        raise EmptyCandidateError(f"softmax over an empty axis of shape {shape}")
+    y = _softmax(a.value, axis)
+    if y.ndim == 1:
+        # np.dot, not (g * y).sum(): the two round differently, so the
+        # question summary's gradients, and every checkpoint, would change
+        back = lambda g: (y * (g - np.dot(g, y)),)
+    else:
+        back = lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+    return a.tape._push(y, (a.idx,), back)
 
 
 def logsumexp(a: Tensor) -> Tensor:
@@ -552,7 +506,7 @@ def _uniform_init(rng: np.random.Generator, *shape) -> Array:
 
 
 def ffnn(x: Tensor, p: FfnnParams, drop: DropoutState | None = None) -> Tensor:
-    """Apply the two-layer ReLU net to a vector or to each matrix row.
+    """Apply the two-layer ReLU net to each row of a matrix.
 
     One fused node with a hand-written backward. In training mode dropout
     hits both ReLU outputs (inverted scaling, first layer's mask drawn
@@ -565,21 +519,19 @@ def ffnn(x: Tensor, p: FfnnParams, drop: DropoutState | None = None) -> Tensor:
     if Uv.shape != (width, width):
         raise DimensionError(
             f"U must be {(width, width)} to chain after V {Vv.shape}, got {Uv.shape}")
-    if xv.ndim not in (1, 2):
-        raise DimensionError(f"ffnn input must be 1-D or 2-D, got shape {xv.shape}")
-    if xv.shape[-1] != in_dim:
-        raise DimensionError(f"ffnn input shape {xv.shape} vs V shape {Vv.shape}")
-    vec = xv.ndim == 1
-    rows = 1 if vec else xv.shape[0]
+    if xv.ndim != 2 or xv.shape[1] != in_dim:
+        raise DimensionError(f"ffnn input must be rows of width {in_dim} for "
+                             f"V shape {Vv.shape}, got shape {xv.shape}")
+    rows = xv.shape[0]
     tape.stats.macs += rows * in_dim * width + rows * width * width
-    pre1 = Vv @ xv if vec else xv @ Vv.T
+    pre1 = xv @ Vv.T
     pre1 += a.value
     on1 = pre1 > 0 if tape.record else None  # ReLU masks, for backward only
     h = np.maximum(pre1, 0.0, out=pre1)
     drop1 = _dropout_mask(drop, h.shape)
     if drop1 is not None:
         h = h * drop1
-    pre2 = Uv @ h if vec else h @ Uv.T
+    pre2 = h @ Uv.T
     pre2 += b.value
     on2 = pre2 > 0 if tape.record else None
     out = np.maximum(pre2, 0.0, out=pre2)
@@ -597,36 +549,26 @@ def ffnn(x: Tensor, p: FfnnParams, drop: DropoutState | None = None) -> Tensor:
         if drop2 is not None:
             g = g * drop2
         g = g * on2
-        gU = np.outer(g, h) if vec else (h.T @ g).T
-        gb = g if vec else g.sum(axis=0)
-        gh = Uv.T @ g if vec else g @ Uv
+        gU = (h.T @ g).T
+        gb = g.sum(axis=0)
+        gh = g @ Uv
         if drop1 is not None:
             gh = gh * drop1
         gh = gh * on1
-        gV = np.outer(gh, xv) if vec else (xv.T @ gh).T
-        ga = gh if vec else gh.sum(axis=0)
-        gx = None
-        if x_needs:
-            gx = Vv.T @ gh if vec else gh @ Vv
+        gV = (xv.T @ gh).T
+        ga = gh.sum(axis=0)
+        gx = gh @ Vv if x_needs else None
         return gx, gV, ga, gU, gb
 
     return tape._push(out, parents, back)
 
 
 def linear(h: Tensor, p: LinearParams) -> Tensor:
-    """Score head: scalar for a vector input, one score per matrix row."""
-    w, z = p.w, p.z
-    wdim = w.value.shape[0]
-    hs = h.value.shape
-    if h.value.ndim == 1:
-        if hs[0] != wdim:
-            raise DimensionError(f"linear input shape {hs} vs weight shape ({wdim},)")
-        return add(matmul(w, h), z)
-    if h.value.ndim == 2:
-        if hs[1] != wdim:
-            raise DimensionError(f"linear input shape {hs} vs weight shape ({wdim},)")
-        return add(matmul(h, w), z)
-    raise DimensionError(f"linear input must be 1-D or 2-D, got shape {hs}")
+    """Score head: one score w . h_i + z per row of a matrix."""
+    if h.value.ndim != 2:
+        raise DimensionError(f"linear input must be a matrix of rows, got "
+                             f"shape {h.value.shape}")
+    return add(matmul(h, p.w), p.z)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .errors import (
     NoTrainableDataError,
     ParseError,
     UsageError,
+    open_text,
 )
 from .evaluation import evaluate
 from .model import (
@@ -165,7 +166,7 @@ def cmd_predict(args) -> int:
     table = _load_table(args.embeddings, params.arch.embed_dim, args.table_seed)
     if not os.path.exists(args.document):
         raise DataError(f"document file not found: {args.document}")
-    with open(args.document, "r", encoding="utf-8") as fh:
+    with open_text(args.document) as fh:
         text = fh.read()
     question = tokenize(args.question).tokens
     if not question:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, open_text
 from .evaluation import gold_indices, normalize_answer
 
 _PUNCT = set(string.punctuation)
@@ -214,8 +214,9 @@ def build_candidates(example: QAExample,
     sentence = np.repeat(np.repeat(np.arange(len(sizes)), sizes), room)
     doc = np.repeat(np.arange(len(docs)), n_sents)[sentence]
 
-    # uniques: distinct rows of token ids (padded with -1), by first mention
-    steps = np.arange(span_limit)
+    # uniques: distinct rows of token ids (padded with -1 to the longest
+    # span, not to span_limit), by first mention
+    steps = np.arange(length.max(initial=0))
     inside = steps < length[:, None]
     rows = np.where(inside, ids[np.where(inside, begin[:, None] + steps, 0)], -1)
     _, first, inverse = np.unique(rows, axis=0, return_index=True,
@@ -254,15 +255,16 @@ def load_examples(
     """Read JSON-lines QA records into tokenized, truncated examples.
 
     ``source`` is a path (``str`` or ``os.PathLike``), which is opened as
-    UTF-8, or any iterable of text lines such as an open text stream.
-    ``mode`` selects instance construction: "wiki" keeps one instance per
-    question with all its documents; "web" emits one instance per
-    question-document pair (ids suffixed ``::<doc index>``).
+    UTF-8 (a byte that does not decode raises DataError), or any iterable
+    of text lines such as an open text stream. ``mode`` selects instance
+    construction: "wiki" keeps one instance per question with all its
+    documents; "web" emits one instance per question-document pair (ids
+    suffixed ``::<doc index>``).
     """
     if mode not in ("wiki", "web"):
         raise ContractError(f"mode must be 'wiki' or 'web', got {mode!r}")
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open_text(source) as fh:
             return load_examples(fh, mode, max_tokens, max_sentences,
                                  max_sentence_len)
     examples: list[QAExample] = []

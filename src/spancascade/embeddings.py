@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .errors import ContractError, DataError, ParseError
+from .errors import ContractError, DataError, ParseError, open_text
 
 OOV_BANK_SIZE = 1000
 
@@ -53,6 +53,8 @@ class EmbeddingTable:
     def __init__(self, vectors: dict[str, np.ndarray], dimension: int, seed: int = 0):
         if dimension <= 0:
             raise ContractError(f"dimension must be positive, got {dimension}")
+        if seed < 0:
+            raise ContractError(f"table seed must be >= 0, got {seed}")
         self.dimension = int(dimension)
         self.seed = int(seed)
         vocab = {}
@@ -116,13 +118,14 @@ def load_embeddings(source, dimension: int, seed: int = 0) -> EmbeddingTable:
     """Parse `token v1 ... v_dimension` lines into an EmbeddingTable.
 
     ``source`` is a path (``str`` or ``os.PathLike``), which is opened as
-    UTF-8, or any iterable of text lines such as an open text stream.
-    Duplicate tokens keep their first occurrence; malformed lines,
-    including nan or infinite values, raise ParseError with the line
-    number; zero-norm vectors raise DataError.
+    UTF-8 (a byte that does not decode raises DataError), or any iterable
+    of text lines such as an open text stream. Duplicate tokens keep their
+    first occurrence; malformed lines, including nan or infinite values,
+    raise ParseError with the line number; zero-norm vectors raise
+    DataError.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open_text(source) as fh:
             return load_embeddings(fh, dimension, seed)
     vectors: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(source, start=1):
@@ -159,6 +162,8 @@ def random_table(tokens, dimension: int, seed: int = 0) -> EmbeddingTable:
     """
     if dimension < 1:
         raise ContractError(f"dimension must be positive, got {dimension}")
+    if seed < 0:
+        raise ContractError(f"table seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     vectors = {}
     for token in tokens:

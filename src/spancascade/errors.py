@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the UTF-8 text opener.
 
 The CLI maps these onto exit codes: usage errors -> 1, I/O and data
 errors -> 2, numeric failures -> 3.
 """
+
+import os
+from contextlib import contextmanager
 
 
 class DimensionError(ValueError):
@@ -45,3 +48,15 @@ class NoTrainableDataError(ValueError):
 
 class UsageError(ValueError):
     """Bad command-line or config-file usage."""
+
+
+@contextmanager
+def open_text(path, error=DataError):
+    """Open ``path`` as UTF-8 text; a byte that does not decode while the
+    block reads raises ``error`` naming the file, not UnicodeDecodeError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{os.fspath(path)} is not UTF-8 text "
+                        f"({exc.reason})") from None

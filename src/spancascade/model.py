@@ -161,6 +161,8 @@ class CascadeParams:
     @classmethod
     def initialize(cls, arch: Architecture, seed: int) -> "CascadeParams":
         """Seeded scaled-uniform init over the active submodels."""
+        if seed < 0:
+            raise ContractError(f"parameter seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         w = arch.hidden_width
         p = cls(arch=arch, seed=int(seed))
@@ -355,7 +357,7 @@ def question_vector(q: Tensor, bound: CascadeParams,
         raise ContractError("question must have at least one token")
     h = ffnn(q, bound.ffnn_q, drop)
     delta = linear(h, bound.linear_q)
-    return ad.matmul(ad.softmax_normalize(delta), q)
+    return ad.matmul(ad.softmax(delta), q)
 
 
 def submodel(columns: list, net: FfnnParams, head: LinearParams,
@@ -389,8 +391,8 @@ def sentence_attention(q: Tensor, q_projected: Tensor, g: Tensor,
         stats.attention_calls += 1
     g_projected = ffnn(g, bound.ffnn_att1, drop)
     eta = ad.matmul(q_projected, ad.transpose(g_projected))  # (m, G)
-    align_q = ad.softmax_rows(eta)       # each question token over the sentence
-    align_g = ad.softmax_cols(eta)       # each sentence token over the question
+    align_q = ad.softmax(eta, axis=1)  # each question token over the sentence
+    align_g = ad.softmax(eta, axis=0)  # each sentence token over the question
     q_attended = ad.matmul(align_q, g)               # (m, e)
     g_attended = ad.matmul(ad.transpose(align_g), q)  # (G, e)
     q_bar = ad.sum_rows(ffnn(ad.hstack([q, q_attended]), bound.ffnn_att2, drop))

@@ -27,6 +27,7 @@ from .errors import (
     NoTrainableDataError,
     NonFiniteError,
     UsageError,
+    open_text,
 )
 from .evaluation import exact_match
 from .model import (
@@ -193,9 +194,10 @@ def _ablation(name: str):
 
 
 def parse_config_file(path) -> dict:
-    """Read `key = value` lines; '#' starts a comment; blank lines ignored."""
+    """Read `key = value` lines; '#' starts a comment; blank lines ignored.
+    A malformed line or a non-UTF-8 byte raises UsageError."""
     mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, UsageError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -346,10 +348,9 @@ def train(examples, config: TrainConfig, table, out_dir=None,
     arch = config.arch(table.dimension)
     params = CascadeParams.initialize(arch, config.seed)
     prepared = prepare_examples(examples, table, arch)
-    trainable = [
-        i for i, enc in enumerate(prepared)
-        if enc is not None and enc.gold_spans.size > 0 and enc.gold_uniques.size > 0
-    ]
+    # an example has gold spans exactly when it has gold uniques
+    trainable = [i for i, enc in enumerate(prepared)
+                 if enc is not None and enc.gold_spans.size > 0]
     skipped = len(examples) - len(trainable)
     if not trainable:
         raise NoTrainableDataError(
@@ -384,15 +385,13 @@ def train(examples, config: TrainConfig, table, out_dir=None,
                 scores = forward_cascade(tape, bound, enc, drop)
                 loss = multi_loss(scores, enc.gold_spans, enc.gold_uniques,
                                   config.weights)
-                if loss is None:
-                    continue
                 grads = tape.backward(loss)
                 adagrad_step(params.named_arrays(), grads, state)
             losses.append(float(loss.value))
         em = _train_em(params, prepared, examples)
         entry = EpochMetrics(
             epoch=epoch + 1,
-            mean_loss=float(np.mean(losses)) if losses else 0.0,
+            mean_loss=float(np.mean(losses)),
             train_em=em,
             steps=len(losses),
             skipped=skipped,

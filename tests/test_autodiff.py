@@ -38,8 +38,8 @@ def test_ffnn_zero_input_zero_params():
     p = ad.FfnnParams(
         V=tape.constant(np.zeros((3, 2))), a=tape.constant(np.zeros(3)),
         U=tape.constant(np.zeros((3, 3))), b=tape.constant(np.zeros(3)))
-    out = ad.ffnn(tape.constant(np.zeros(2)), p)
-    assert np.array_equal(out.value, np.zeros(3))
+    out = ad.ffnn(tape.constant(np.zeros((1, 2))), p)
+    assert np.array_equal(out.value, np.zeros((1, 3)))
 
 
 def test_ffnn_identity_clips_negative():
@@ -47,8 +47,8 @@ def test_ffnn_identity_clips_negative():
     p = ad.FfnnParams(
         V=tape.constant(np.eye(2)), a=tape.constant(np.zeros(2)),
         U=tape.constant(np.eye(2)), b=tape.constant(np.zeros(2)))
-    out = ad.ffnn(tape.constant(np.array([-1.0, 2.0])), p)
-    assert np.array_equal(out.value, np.array([0.0, 2.0]))
+    out = ad.ffnn(tape.constant(np.array([[-1.0, 2.0]])), p)
+    assert np.array_equal(out.value, np.array([[0.0, 2.0]]))
 
 
 def test_ffnn_matches_plain_loop_oracle():
@@ -63,7 +63,7 @@ def test_ffnn_matches_plain_loop_oracle():
         tape = ad.Tape()
         p = ad.FfnnParams(tape.constant(V), tape.constant(a),
                           tape.constant(U), tape.constant(b))
-        got = ad.ffnn(tape.constant(x), p).value
+        got = ad.ffnn(tape.constant(x[None]), p).value[0]
         np.testing.assert_allclose(got, plain_ffnn(x, V, a, U, b), rtol=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_ffnn_batch_rows_match_single():
                       tape.constant(U), tape.constant(b))
     batch = ad.ffnn(tape.constant(X), p).value
     for i in range(6):
-        single = ad.ffnn(tape.constant(X[i]), p).value
+        single = ad.ffnn(tape.constant(X[i:i + 1]), p).value[0]
         np.testing.assert_allclose(batch[i], single, rtol=1e-12)
 
 
@@ -87,49 +87,67 @@ def test_ffnn_shape_mismatch_names_shapes():
         V=tape.constant(np.zeros((3, 2))), a=tape.constant(np.zeros(3)),
         U=tape.constant(np.zeros((3, 3))), b=tape.constant(np.zeros(3)))
     with pytest.raises(DimensionError, match=r"\(3, 2\)"):
-        ad.ffnn(tape.constant(np.zeros(5)), p)
+        ad.ffnn(tape.constant(np.zeros((1, 5))), p)
+
+
+def test_ffnn_and_linear_reject_a_vector():
+    tape = ad.Tape()
+    p = ad.FfnnParams(
+        V=tape.constant(np.zeros((3, 2))), a=tape.constant(np.zeros(3)),
+        U=tape.constant(np.zeros((3, 3))), b=tape.constant(np.zeros(3)))
+    with pytest.raises(DimensionError, match=r"shape \(2,\)"):
+        ad.ffnn(tape.constant(np.zeros(2)), p)
+    head = ad.LinearParams(w=tape.constant(np.zeros(3)),
+                           z=tape.constant(np.array(0.0)))
+    with pytest.raises(DimensionError, match=r"shape \(3,\)"):
+        ad.linear(tape.constant(np.zeros(3)), head)
 
 
 def test_linear_constant_and_dot():
     tape = ad.Tape()
     p = ad.LinearParams(w=tape.constant(np.zeros(4)),
                         z=tape.constant(np.array(3.0)))
-    assert ad.linear(tape.constant(np.ones(4)), p).item() == 3.0
+    assert np.array_equal(ad.linear(tape.constant(np.ones((1, 4))), p).value,
+                          [3.0])
     p2 = ad.LinearParams(w=tape.constant(np.array([1.0, 1.0])),
                          z=tape.constant(np.array(0.0)))
-    assert ad.linear(tape.constant(np.array([2.0, 5.0])), p2).item() == 7.0
+    out = ad.linear(tape.constant(np.array([[2.0, 5.0], [1.0, -1.0]])), p2)
+    assert np.array_equal(out.value, [7.0, 0.0])
 
 
 def test_linear_gradient_is_weight_vector():
     rng = np.random.default_rng(0)
-    h = rng.normal(size=5)
+    h = rng.normal(size=(1, 5))
     w = rng.normal(size=5)
 
     def loss_fn(params):
+        # the log-sum-exp of one score is that score, with gradient 1
         tape = ad.Tape()
         hv = tape.variable(params["h"], "h")
         p = ad.LinearParams(w=tape.constant(w), z=tape.constant(np.array(0.5)))
-        return ad.linear(hv, p)
+        return ad.logsumexp(ad.linear(hv, p))
 
     res = ad.finite_difference_check(loss_fn, {"h": h.copy()})
     assert res.max_rel_error < 1e-8
-    tape = ad.Tape()
-    hv = tape.variable(h, "h")
-    out = ad.linear(hv, ad.LinearParams(w=tape.constant(w),
-                                        z=tape.constant(np.array(0.5))))
-    grads = tape.backward(out)
-    np.testing.assert_array_equal(grads["h"], w)
+    out = loss_fn({"h": h})
+    grads = out.tape.backward(out)
+    np.testing.assert_array_equal(grads["h"], w[None])
 
 
 def test_softmax_examples():
     tape = ad.Tape()
     np.testing.assert_allclose(
-        ad.softmax_normalize(tape.constant([2.0, 2.0])).value, [0.5, 0.5])
+        ad.softmax(tape.constant([2.0, 2.0])).value, [0.5, 0.5])
     np.testing.assert_allclose(
-        ad.softmax_normalize(tape.constant([0.0, np.log(3)])).value,
+        ad.softmax(tape.constant([0.0, np.log(3)])).value,
         [0.25, 0.75], rtol=1e-12)
     np.testing.assert_allclose(
-        ad.softmax_normalize(tape.constant([1000.0, 1000.0])).value, [0.5, 0.5])
+        ad.softmax(tape.constant([1000.0, 1000.0])).value, [0.5, 0.5])
+    m = np.array([[2.0, 2.0], [0.0, np.log(3)]])
+    np.testing.assert_allclose(ad.softmax(tape.constant(m), axis=1).value,
+                               [[0.5, 0.5], [0.25, 0.75]], rtol=1e-12)
+    np.testing.assert_allclose(ad.softmax(tape.constant(m.T), axis=0).value,
+                               [[0.5, 0.25], [0.5, 0.75]], rtol=1e-12)
 
 
 def test_softmax_probability_vector_properties():
@@ -137,10 +155,10 @@ def test_softmax_probability_vector_properties():
     for _ in range(50):
         v = rng.uniform(-50, 50, size=int(rng.integers(1, 20)))
         tape = ad.Tape()
-        y = ad.softmax_normalize(tape.constant(v)).value
+        y = ad.softmax(tape.constant(v)).value
         assert np.all(y >= 0)
         assert abs(y.sum() - 1.0) < 1e-12
-        shifted = ad.softmax_normalize(tape.constant(v + 123.456)).value
+        shifted = ad.softmax(tape.constant(v + 123.456)).value
         assert np.max(np.abs(shifted - y)) < 1e-12
         # monotone: larger score, larger probability
         order = np.argsort(v)
@@ -149,8 +167,16 @@ def test_softmax_probability_vector_properties():
 
 def test_softmax_empty_raises():
     tape = ad.Tape()
-    with pytest.raises(EmptyCandidateError):
-        ad.softmax_normalize(tape.constant(np.zeros(0)))
+    for shape, axis in [((0,), 0), ((2, 0), 1), ((0, 2), 0)]:
+        with pytest.raises(EmptyCandidateError):
+            ad.softmax(tape.constant(np.zeros(shape)), axis)
+
+
+@pytest.mark.parametrize("shape, axis", [
+    ((), 0), ((3,), 1), ((3,), -1), ((2, 2), 2), ((2, 2, 2), 0)])
+def test_softmax_wrong_shape_raises(shape, axis):
+    with pytest.raises(DimensionError, match="softmax along axis"):
+        ad.softmax(ad.Tape().constant(np.zeros(shape)), axis)
 
 
 def test_aggregate_ops():
@@ -165,10 +191,10 @@ def test_aggregate_ops():
 
 def test_backward_linear_grads():
     tape = ad.Tape()
-    h = tape.constant(np.array([2.0, 5.0]))
+    h = tape.constant(np.array([[2.0, 5.0]]))
     p = ad.LinearParams(w=tape.variable(np.array([1.0, -1.0]), "w"),
                         z=tape.variable(np.array(0.0), "z"))
-    out = ad.linear(h, p)
+    out = ad.logsumexp(ad.linear(h, p))  # one score: the root is that score
     grads = tape.backward(out)
     np.testing.assert_array_equal(grads["w"], [2.0, 5.0])
     assert grads["z"] == 1.0
@@ -237,7 +263,7 @@ def test_gradients_matmul_relu_chain(seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_gradients_softmax_weighted(seed):
     _random_op_check(
-        lambda t, p: ad.matmul(ad.softmax_normalize(p["logits"]),
+        lambda t, p: ad.matmul(ad.softmax(p["logits"]),
                                ad.matmul(p["m"], p["v"])),
         {"logits": (4,), "m": (4, 3), "v": (3,)}, seed)
 
@@ -256,8 +282,8 @@ def test_gradients_segment_and_gather(seed):
 def test_gradients_attention_style(seed):
     def build(tape, p):
         eta = ad.matmul(p["q"], ad.transpose(p["d"]))
-        rows = ad.softmax_rows(eta)
-        cols = ad.softmax_cols(eta)
+        rows = ad.softmax(eta, axis=1)
+        cols = ad.softmax(eta, axis=0)
         mix = ad.add(ad.matmul(rows, p["d"]),
                      ad.matmul(ad.transpose(cols), p["q"]))
         return ad.logsumexp(ad.sum_rows(mix))
@@ -270,8 +296,8 @@ def test_gradients_full_ffnn_linear(seed):
     def build(tape, p):
         net = ad.FfnnParams(p["V"], p["a"], p["U"], p["b"])
         head = ad.LinearParams(p["w"], p["z"])
-        h = ad.ffnn(tape.constant(np.array([0.3, -1.2, 0.8])), net)
-        return ad.linear(h, head)
+        h = ad.ffnn(tape.constant(np.array([[0.3, -1.2, 0.8]])), net)
+        return ad.logsumexp(ad.linear(h, head))
 
     _random_op_check(
         build,
@@ -286,7 +312,7 @@ def _ffnn_arrays(in_dim, width, rng):
             "b": rng.uniform(-1, 1, width)}
 
 
-@pytest.mark.parametrize("x_shape", [(3,), (5, 3)])
+@pytest.mark.parametrize("x_shape", [(5, 3)])
 def test_gradients_fused_ffnn_with_dropout(x_shape):
     rng = np.random.default_rng(7)
     arrays = {"x": rng.uniform(-2, 2, x_shape), **_ffnn_arrays(3, 6, rng)}
@@ -298,13 +324,13 @@ def test_gradients_fused_ffnn_with_dropout(x_shape):
         net = ad.FfnnParams(leaves["V"], leaves["a"], leaves["U"], leaves["b"])
         drop = ad.DropoutState(0.3, np.random.default_rng(11), training=True)
         out = ad.ffnn(leaves["x"], net, drop)
-        return ad.logsumexp(out if out.ndim == 1 else ad.sum_rows(out))
+        return ad.logsumexp(ad.sum_rows(out))
 
     res = ad.finite_difference_check(loss_fn, arrays)
     assert res.max_rel_error < 1e-4, res
 
 
-@pytest.mark.parametrize("x_shape", [(3,), (5, 3)])
+@pytest.mark.parametrize("x_shape", [(5, 3)])
 def test_fused_ffnn_equals_unfused_chain_bitwise(x_shape):
     """Same values, gradients, MACs and dropout draws as the op-by-op net."""
     rng = np.random.default_rng(8)
@@ -317,15 +343,12 @@ def test_fused_ffnn_equals_unfused_chain_bitwise(x_shape):
         if fused:
             net = ad.FfnnParams(p["V"], p["a"], p["U"], p["b"])
             out = ad.ffnn(p["x"], net, drop)
-        elif len(x_shape) == 1:
-            h = ad.dropout(ad.relu(ad.add(ad.matmul(p["V"], p["x"]), p["a"])), drop)
-            out = ad.dropout(ad.relu(ad.add(ad.matmul(p["U"], h), p["b"])), drop)
         else:
             h = ad.dropout(ad.relu(ad.add(
                 ad.matmul(p["x"], ad.transpose(p["V"])), p["a"])), drop)
             out = ad.dropout(ad.relu(ad.add(
                 ad.matmul(h, ad.transpose(p["U"])), p["b"])), drop)
-        root = ad.logsumexp(out if out.ndim == 1 else ad.sum_rows(out))
+        root = ad.logsumexp(ad.sum_rows(out))
         return out.value, tape.backward(root), tape.stats.macs, len(tape)
 
     fused, chain = run(True), run(False)

@@ -313,6 +313,22 @@ def test_bench_rejects_unsorted_lengths(tmp_path):
     assert code == EXIT_USAGE
 
 
+def _runnable(command, tmp_path, corpus_path, embeddings_path, trained_dir):
+    """Arguments with which ``command`` runs, for a test to add one flag to
+    or to override one of."""
+    checkpoint = str(trained_dir / "checkpoint.ckpt")
+    return {
+        "train": ["--data", corpus_path, "--embeddings", embeddings_path,
+                  "--dim", "8", "--out", str(tmp_path / "out")],
+        "eval": ["--checkpoint", checkpoint, "--data", corpus_path,
+                 "--embeddings", embeddings_path, "--out", str(tmp_path)],
+        "predict": ["--checkpoint", checkpoint, "--embeddings",
+                    embeddings_path, "--question", "which item ?",
+                    "--document", corpus_path],
+        "bench": ["--reps", "1", "--out", str(tmp_path / "b.csv")],
+    }.get(command, [])
+
+
 @pytest.mark.parametrize("args, message", [
     (["eval", "--truncate", "abc"], "--truncate expects comma-separated "
                                     "integers, got 'abc'"),
@@ -325,20 +341,49 @@ def test_bench_rejects_unsorted_lengths(tmp_path):
     (["gradcheck", "--dim", "0"], "dimension must be positive, got 0"),
     (["gradcheck", "--epsilon", "nan"], "epsilon must be positive and finite, "
                                         "got nan"),
+    (["train", "--seed", "-1"], "table seed must be >= 0, got -1"),
+    (["gradcheck", "--seed", "-1"], "parameter seed must be >= 0, got -1"),
+    (["gradcheck", "--table-seed", "-1"], "table seed must be >= 0, got -1"),
+    (["bench", "--seed", "-1"], "parameter seed must be >= 0, got -1"),
+    (["predict", "--table-seed", "-1"], "table seed must be >= 0, got -1"),
+    (["eval", "--table-seed", "-1"], "table seed must be >= 0, got -1"),
 ], ids=["truncate-word", "truncate-list", "lengths-list", "lengths-empty",
-        "dim-negative", "dim-zero", "epsilon-nan"])
+        "dim-negative", "dim-zero", "epsilon-nan", "train-seed",
+        "gradcheck-seed", "gradcheck-table-seed", "bench-seed",
+        "predict-table-seed", "eval-table-seed"])
 def test_malformed_number_is_usage_error(args, message, tmp_path, corpus_path,
                                          embeddings_path, trained_dir, capsys):
-    if args[0] == "eval":
-        args = args + ["--checkpoint", str(trained_dir / "checkpoint.ckpt"),
-                       "--data", corpus_path, "--embeddings", embeddings_path,
-                       "--out", str(tmp_path)]
-    elif args[0] == "bench":
-        args = args + ["--reps", "1", "--out", str(tmp_path / "b.csv")]
+    args = args + _runnable(args[0], tmp_path, corpus_path, embeddings_path,
+                            trained_dir)
     assert main(args) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
     assert message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flag, code", [
+    ("train", "--data", EXIT_IO),
+    ("train", "--embeddings", EXIT_IO),
+    ("train", "--config", EXIT_USAGE),
+    ("eval", "--data", EXIT_IO),
+    ("predict", "--document", EXIT_IO),
+])
+def test_non_utf8_file_is_one_line_naming_it(command, flag, code, tmp_path,
+                                             corpus_path, embeddings_path,
+                                             trained_dir, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"epochs = 1\ncaf\xe9 \xff\n")
+    args = _runnable(command, tmp_path, corpus_path, embeddings_path,
+                     trained_dir)
+    if flag in args:
+        args[args.index(flag) + 1] = str(bad)
+    else:
+        args += [flag, str(bad)]
+    assert main([command] + args) == code
+    err = capsys.readouterr().err
+    assert f"{bad} is not UTF-8 text" in err
+    assert err.count("\n") == 1
 
 
 def test_train_diverging_learning_rate_is_one_numeric_error(

@@ -177,6 +177,36 @@ def test_build_candidates_no_tokens_gives_no_spans():
         assert cands.gold_unique_ids.size == 0
 
 
+def test_build_candidates_memory_does_not_grow_past_the_longest_sentence():
+    """Token-id rows are padded to the longest span, so a span limit far
+    above the longest sentence gives the same arrays from the same memory."""
+    import tracemalloc
+
+    tokens = [f"w{i % 37}" for i in range(200)]
+    sentences = [(s, min(s + 21, 200)) for s in range(0, 200, 21)]
+    examples = [QAExample("x", ["w3", "w5"], [Document(tokens, sentences)],
+                          ["w4 w5"]),
+                QAExample("x", ["who"], [tokenize("")], ["a"])]
+    for example in examples:
+        runs = []
+        for limit in (21, 2100):
+            tracemalloc.start()
+            try:
+                cands = build_candidates(example, limit)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            runs.append((cands, peak))
+        (small, small_peak), (big, big_peak) = runs
+        for name, a in vars(small.spans).items():
+            b = getattr(big.spans, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert small.surfaces == big.surfaces
+        assert small.gold_unique_ids.tobytes() == big.gold_unique_ids.tobytes()
+        assert small.gamma.tobytes() == big.gamma.tobytes()
+        assert big_peak < 2 * max(small_peak, 1 << 16), (small_peak, big_peak)
+
+
 def test_span_enumeration_matches_brute_force_100_random_docs():
     rng = np.random.default_rng(99)
     for _ in range(100):
