@@ -312,7 +312,7 @@ def _ffnn_arrays(in_dim, width, rng):
             "b": rng.uniform(-1, 1, width)}
 
 
-@pytest.mark.parametrize("x_shape", [(5, 3)])
+@pytest.mark.parametrize("x_shape", [(1, 3), (5, 3)])
 def test_gradients_fused_ffnn_with_dropout(x_shape):
     rng = np.random.default_rng(7)
     arrays = {"x": rng.uniform(-2, 2, x_shape), **_ffnn_arrays(3, 6, rng)}
@@ -330,7 +330,7 @@ def test_gradients_fused_ffnn_with_dropout(x_shape):
     assert res.max_rel_error < 1e-4, res
 
 
-@pytest.mark.parametrize("x_shape", [(5, 3)])
+@pytest.mark.parametrize("x_shape", [(1, 3), (5, 3)])
 def test_fused_ffnn_equals_unfused_chain_bitwise(x_shape):
     """Same values, gradients, MACs and dropout draws as the op-by-op net."""
     rng = np.random.default_rng(8)
