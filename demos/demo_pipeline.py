@@ -50,8 +50,8 @@ def main():
     print(f"\nforward pass: {stats.attention_calls} attention computations "
           f"(= sentence count), {stats.macs} multiply-accumulates")
     dists = model.distributions(scores)
-    for level, p in sorted(dists.items(), key=lambda kv: str(kv[0])):
-        print(f"  level {level}: distribution over {p.shape[0]} candidates, "
+    for level, p in dists.items():
+        print(f"  {level}: distribution over {p.shape[0]} candidates, "
               f"sum = {p.sum():.15f}")
     pred = model.predict(scores, enc)
     print(f"\nuntrained argmax prediction: {pred.text!r} "

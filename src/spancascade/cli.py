@@ -205,6 +205,9 @@ def cmd_bench(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .training import TrainConfig, multi_loss
 
+    if not 0.0 < args.threshold < np.inf:
+        raise UsageError(f"--threshold must be positive and finite, "
+                         f"got {args.threshold}")
     example, table = synth.gradcheck_instance(embed_dim=args.dim,
                                               seed=args.table_seed)
     config = TrainConfig(hidden_width=args.hidden, dropout=0.0,

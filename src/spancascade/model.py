@@ -22,6 +22,7 @@ import json
 import math
 import os
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -85,13 +86,18 @@ class Architecture:
         return not self.combined_level1 and self.level1_mode in ("both", "sc")
 
     @property
+    def levels(self) -> list:
+        """The rows of ``LEVELS`` this wiring turns on, in table order."""
+        return [level for level in LEVELS if getattr(self, level.switch)]
+
+    @property
     def needs_question_nets(self) -> bool:
-        return self.m1_active or self.combined_level1
+        return any("question" in level.reads for level in self.levels)
 
     @property
     def level2_in_dim(self) -> int:
         w = self.hidden_width
-        n_hidden = int(self.m1_active) + int(self.m2_active) + int(self.combined_level1)
+        n_hidden = sum(level.stage == 1 for level in self.levels)
         return n_hidden * w + 2 * w + 1
 
     def to_dict(self) -> dict:
@@ -107,6 +113,45 @@ class ForwardStats:
 
     attention_calls: int = 0
     macs: int = 0
+
+
+Level = namedtuple("Level", "name switch stage slot net reads", defaults=((),))
+
+
+def _level(*row):
+    return field(default=None, metadata={"row": row})
+
+
+@dataclass
+class CascadeScores:
+    """Scores per level; its fields are the one table of scoring levels.
+
+    A field's ``Level`` row gives the Architecture switch that turns it on,
+    its stage (1 and 2 score spans, 3 unique candidates), its LossWeights
+    slot (no Architecture turns on both slot-0 levels), its submodel
+    ``ffnn_<net>``/``linear_<net>`` and, at stage 1, the feature blocks it
+    reads. Levels run, enter the loss and add up in field order. Entries
+    are tape Tensors in training, arrays at inference, None if inactive.
+    """
+
+    phi1: object = _level("m1_active", 1, 0, "qs", ("question",))
+    phi2: object = _level("m2_active", 1, 1, "c", ("context",))
+    phi_comb: object = _level("combined_level1", 1, 0, "comb",
+                              ("question", "context"))
+    phi3: object = _level("use_level2", 2, 2, "l2")
+    phi4: object = _level("use_level3", 3, 3, "l3")
+
+    def values(self) -> "CascadeScores":
+        return CascadeScores(**{level: x.value if isinstance(x, Tensor) else x
+                                for level, x in vars(self).items()})
+
+    def active(self) -> list:
+        """(Level, scores) pairs of the levels that hold scores."""
+        return [(level, getattr(self, level.name)) for level in LEVELS
+                if getattr(self, level.name) is not None]
+
+
+LEVELS = tuple(Level(f.name, *f.metadata["row"]) for f in fields(CascadeScores))
 
 
 # ---------------------------------------------------------------------------
@@ -140,22 +185,20 @@ class CascadeParams:
         """The one list of submodels: the active ``ffnn_*`` nets and
         ``linear_*`` heads with their input dims, in initialization order."""
         e, w = arch.embed_dim, arch.hidden_width
+        widths = {"question": e + 1, "context": 2 * e}  # see forward_cascade
         dims = {}
         if arch.needs_question_nets:
             dims["ffnn_q"], dims["linear_q"] = e, w
-        if arch.m1_active:
-            dims["ffnn_qs"], dims["linear_qs"] = 2 * e + 2, w
-        if arch.m2_active:
-            dims["ffnn_c"], dims["linear_c"] = 3 * e + 1, w
-        if arch.combined_level1:
-            dims["ffnn_comb"], dims["linear_comb"] = 4 * e + 2, w
-        if arch.use_level2:
-            dims["ffnn_att1"] = e
-            dims["ffnn_att2"] = 2 * e
-            dims["ffnn_l2"], dims["linear_l2"] = arch.level2_in_dim, w
-        if arch.use_level3:
-            dims["ffnn_agg"] = w + 1
-            dims["ffnn_l3"], dims["linear_l3"] = w, w
+        for level in arch.levels:
+            if level.stage == 1:  # span average, blocks, gamma
+                in_dim = e + sum(widths[block] for block in level.reads) + 1
+            elif level.stage == 2:
+                dims["ffnn_att1"], dims["ffnn_att2"] = e, 2 * e
+                in_dim = arch.level2_in_dim
+            else:
+                dims["ffnn_agg"] = w + 1
+                in_dim = w
+            dims["ffnn_" + level.net], dims["linear_" + level.net] = in_dim, w
         return dims
 
     @classmethod
@@ -331,25 +374,6 @@ def encode_example(example: QAExample, cands: CandidateSet,
 # tape forward (training path)
 
 
-@dataclass
-class CascadeScores:
-    """Scores per level; spans for 1..3, unique candidates for 4.
-
-    Entries are tape Tensors in training and plain arrays at inference;
-    inactive levels are None.
-    """
-
-    phi1: object = None
-    phi2: object = None
-    phi_comb: object = None
-    phi3: object = None
-    phi4: object = None
-
-    def values(self) -> "CascadeScores":
-        return CascadeScores(**{level: x.value if isinstance(x, Tensor) else x
-                                for level, x in vars(self).items()})
-
-
 def question_vector(q: Tensor, bound: CascadeParams,
                     drop: DropoutState | None = None) -> Tensor:
     """Softmax-weighted question summary with learned per-token weights."""
@@ -362,14 +386,8 @@ def question_vector(q: Tensor, bound: CascadeParams,
 
 def submodel(columns: list, net: FfnnParams, head: LinearParams,
              drop: DropoutState | None = None):
-    """One scoring submodel over column blocks of span features.
-
-    Level 1's question+span reads [s_avg, gamma, q_tilde, gamma],
-    span+context reads [s_avg, left, right, gamma], and the combined
-    variant reads [s_avg, gamma, q_tilde, left, right, gamma]. Level 2
-    reads the active level-1 hidden states, then [q_bar, g_bar, gamma]
-    of the span's sentence. Returns hidden states and scores for every row.
-    """
+    """One scoring submodel over column blocks of span features; returns
+    hidden states and scores for every row."""
     h = ffnn(ad.hstack(columns), net, drop)
     return h, linear(h, head)
 
@@ -467,46 +485,42 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
     if arch.needs_question_nets:
         q_tilde = question_vector(q_const, bound, drop)
 
-    parts = {"phi1": [], "phi2": [], "phi_comb": [], "phi3": []}
+    parts = {level.name: [] for level in arch.levels}
     bars = summed = None
     for lo, hi in _chunk_ranges(S):
         gamma_col = tape.constant(enc.gamma[lo:hi, None])
         s_avg, *ctx = [tape.constant(x) for x in enc.span_features(lo, hi)]
+        # stage 1 reads [s_avg, its blocks, gamma]; stage 2 reads the
+        # stage-1 hidden states, then [q_bar, g_bar, gamma] of the sentence
+        blocks = {"context": ctx}
         if q_tilde is not None:
-            s_q = [s_avg, gamma_col, ad.tile_rows(q_tilde, hi - lo)]
-        submodels = []
-        if arch.m1_active:
-            submodels.append(("phi1", s_q, bound.ffnn_qs, bound.linear_qs))
-        if arch.m2_active:
-            submodels.append(("phi2", [s_avg] + ctx, bound.ffnn_c,
-                              bound.linear_c))
-        if arch.combined_level1:
-            submodels.append(("phi_comb", s_q + ctx, bound.ffnn_comb,
-                              bound.linear_comb))
+            blocks["question"] = [gamma_col, ad.tile_rows(q_tilde, hi - lo)]
         hidden_states = []
-        for level, columns, net, head in submodels:
-            h, phi = submodel(columns + [gamma_col], net, head, drop)
+        for level in arch.levels:
+            if level.stage == 1:
+                columns = sum((blocks[b] for b in level.reads), [s_avg])
+            elif level.stage == 2:
+                bars = bars or sentence_summaries(tape, q_const, enc, bound,
+                                                  drop, stats)
+                rows = enc.span_sentence[lo:hi]
+                columns = hidden_states + [ad.gather(bar, rows) for bar in bars]
+            else:
+                mentions = ffnn(ad.hstack([hidden_states[-1], gamma_col]),
+                                bound.ffnn_agg, drop)
+                summed = ad.segment_sum(mentions, enc.span_unique[lo:hi],
+                                        enc.n_unique, into=summed)
+                continue
+            h, phi = submodel(columns + [gamma_col],
+                              getattr(bound, "ffnn_" + level.net),
+                              getattr(bound, "linear_" + level.net), drop)
             hidden_states.append(h)
-            parts[level].append(phi)
-        if not arch.use_level2:
-            continue
-        if bars is None:
-            bars = sentence_summaries(tape, q_const, enc, bound, drop, stats)
-        rows = enc.span_sentence[lo:hi]
-        h3, phi = submodel(hidden_states + [ad.gather(bars[0], rows),
-                                            ad.gather(bars[1], rows), gamma_col],
-                           bound.ffnn_l2, bound.linear_l2, drop)
-        parts["phi3"].append(phi)
-        if arch.use_level3:
-            mentions = ffnn(ad.hstack([h3, gamma_col]), bound.ffnn_agg, drop)
-            summed = ad.segment_sum(mentions, enc.span_unique[lo:hi],
-                                    enc.n_unique, into=summed)
+            parts[level.name].append(phi)
 
-    scores = CascadeScores(**{
-        level: None if not xs else xs[0] if len(xs) == 1 else ad.concat(xs)
-        for level, xs in parts.items()})
-    if summed is not None:
-        scores.phi4 = level3_aggregate(summed, bound, drop)
+    scores = CascadeScores()
+    for level in arch.levels:
+        xs = ([level3_aggregate(summed, bound, drop)] if level.stage == 3
+              else parts[level.name])
+        setattr(scores, level.name, xs[0] if len(xs) == 1 else ad.concat(xs))
     if stats is not None:
         stats.macs += tape.stats.macs - macs_before
     return scores
@@ -517,42 +531,36 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
 
 
 def distributions(scores: CascadeScores) -> dict:
-    """Softmax each active level's scores into probability vectors.
+    """Softmax each active level's scores; keyed by level name.
 
     Uses the tape's softmax, so every probability vector the cascade makes
     comes from ``autodiff._softmax``.
     """
-    vals = scores.values()
     out = {}
-    for level, phi in ((1, vals.phi1), (2, vals.phi2), ("1c", vals.phi_comb),
-                       (3, vals.phi3), (4, vals.phi4)):
-        if phi is None:
-            continue
+    for level, phi in scores.values().active():
         phi = np.asarray(phi)
         if phi.size == 0:
-            raise EmptyCandidateError(f"level {level} has no candidates")
-        out[level] = ad._softmax(phi, axis=0)
+            raise EmptyCandidateError(f"level {level.name} has no candidates")
+        out[level.name] = ad._softmax(phi, axis=0)
     return out
 
 
 def prediction_scores(scores: CascadeScores, enc: EncodedExample) -> np.ndarray:
-    """Per-unique-candidate scores at the highest active level.
+    """Per-unique-candidate scores from the highest active stage.
 
-    With level 3 active this is its score directly; otherwise span-level
-    scores map to unique candidates by max over mentions. If only the two
-    level-1 submodels are active their scores are added first.
+    The stage's levels are added in table order; span scores then map to
+    unique candidates by max over mentions.
     """
-    vals = scores.values()
-    if vals.phi4 is not None:
-        return np.asarray(vals.phi4)
-    level1 = [np.asarray(phi) for phi in (vals.phi1, vals.phi2) if phi is not None]
-    span_phi = (vals.phi3 if vals.phi3 is not None else
-                vals.phi_comb if vals.phi_comb is not None else
-                sum(level1[1:], level1[0]) if level1 else None)
-    if span_phi is None:
+    active = scores.values().active()
+    if not active:
         raise ContractError("no active scoring level")
+    top = max(level.stage for level, _ in active)
+    phis = [np.asarray(phi) for level, phi in active if level.stage == top]
+    phi = sum(phis[1:], phis[0])
+    if top == 3:
+        return phi
     out = np.full(enc.n_unique, -np.inf)
-    np.fmax.at(out, enc.span_unique, np.asarray(span_phi))
+    np.fmax.at(out, enc.span_unique, phi)
     return out
 
 
@@ -600,8 +608,7 @@ def score_example(params: CascadeParams, enc: EncodedExample,
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         scores = forward_cascade(tape, params.bind(tape), enc,
                                  stats=stats).values()
-    if not all(np.all(np.isfinite(phi)) for phi in vars(scores).values()
-               if phi is not None):
+    if not all(np.all(np.isfinite(phi)) for _, phi in scores.active()):
         raise NonFiniteError("non-finite score at inference")
     return scores
 

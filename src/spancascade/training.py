@@ -31,6 +31,7 @@ from .errors import (
 )
 from .evaluation import exact_match
 from .model import (
+    LEVELS,
     Architecture,
     CascadeParams,
     CascadeScores,
@@ -44,10 +45,10 @@ from .model import (
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Per-level loss coefficients; nonnegative, summing to 1 (±1e-9).
+    """Loss coefficients per ``model.LEVELS`` slot; nonnegative, sum 1 (±1e-9).
 
-    The first weight applies to the question+span head, or to the combined
-    level-1 head when that variant is active.
+    The first slot holds the question+span head, or the combined level-1
+    head when that variant is active.
     """
 
     level1_qs: float = 0.35
@@ -63,10 +64,11 @@ class LossWeights:
             raise ContractError(f"loss weights must sum to 1, got {sum(vals)!r}")
 
     def as_tuple(self):
-        return (self.level1_qs, self.level1_sc, self.level2, self.level3)
+        return dataclasses.astuple(self)
 
 
-LAMBDA_KEYS = ("lambda1", "lambda2", "lambda3", "lambda4")
+LAMBDA_KEYS = tuple(f"lambda{slot + 1}"
+                    for slot in sorted({level.slot for level in LEVELS}))
 
 # name -> (Architecture wiring, default loss weights). "full" keeps every
 # level; "single_loss" trains only the aggregation level's objective;
@@ -123,16 +125,16 @@ class TrainConfig:
             raise ContractError(f"epochs must be >= 0, got {self.epochs}")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.learning_rate <= 0 or self.accumulator_init <= 0:
-            raise ContractError("learning rate and accumulator init must be > 0")
+        for key in ("learning_rate", "accumulator_init"):
+            if not 0.0 < getattr(self, key) < np.inf:  # also rejects NaN
+                raise ContractError(f"{key} must be positive and finite, "
+                                    f"got {getattr(self, key)}")
         if self.instance_mode not in ("wiki", "web"):
             raise ContractError(f"bad instance_mode {self.instance_mode!r}")
-        arch = self.arch(1)  # the wiring does not depend on the dimension
-        active = (arch.needs_question_nets, arch.m2_active, arch.use_level2,
-                  arch.use_level3)
-        for slot, (w, on) in enumerate(zip(self.weights.as_tuple(), active), 1):
-            if w > 0 and not on:
-                raise ContractError(f"lambda{slot} is {w} but ablation "
+        live = {level.slot for level in self.arch(1).levels}  # any dimension
+        for slot, w in enumerate(self.weights.as_tuple()):
+            if w > 0 and slot not in live:
+                raise ContractError(f"{LAMBDA_KEYS[slot]} is {w} but ablation "
                                     f"{self.ablation!r} turns that level off")
 
     def arch(self, embed_dim: int) -> Architecture:
@@ -146,13 +148,8 @@ class TrainConfig:
 
     def as_flat_dict(self) -> dict:
         """Flat key=value view (the config-file schema)."""
-        out = {}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if f.name == "weights":
-                out.update(zip(LAMBDA_KEYS, v.as_tuple()))
-            else:
-                out[f.name] = v
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out.update(zip(LAMBDA_KEYS, out.pop("weights").as_tuple()))
         return out
 
     @classmethod
@@ -162,8 +159,7 @@ class TrainConfig:
         A ``lambdaN`` key overrides its own slot of the ablation's weights.
         """
         known = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs = {}
-        lambdas = {}
+        kwargs, lambdas = {}, {}
         for key, raw in mapping.items():
             is_lambda = key in LAMBDA_KEYS
             if not (is_lambda or key in known) or key == "weights":
@@ -225,25 +221,19 @@ def multi_loss(scores: CascadeScores, gold_spans, gold_uniques,
     gold_uniques = np.asarray(gold_uniques, dtype=np.intp)
     if gold_spans.size == 0 or gold_uniques.size == 0:
         return None
-    terms = [
-        (weights.level1_qs, scores.phi_comb if scores.phi_comb is not None
-         else scores.phi1, gold_spans),
-        (weights.level1_sc, scores.phi2, gold_spans),
-        (weights.level2, scores.phi3, gold_spans),
-        (weights.level3, scores.phi4, gold_uniques),
-    ]
+    w = weights.as_tuple()
+    live = {level.slot for level, _ in scores.active()}
+    if any(v > 0 and slot not in live for slot, v in enumerate(w)):
+        raise ContractError("positive loss weight for an inactive level")
     total = None
-    for w, phi, gold in terms:
-        if w == 0.0:
+    for level, phi in scores.active():
+        if w[level.slot] == 0.0:
             continue
-        if phi is None:
-            raise ContractError("positive loss weight for an inactive level")
+        gold = gold_uniques if level.stage == 3 else gold_spans
         term = ad.logsumexp(phi) - ad.logsumexp(ad.gather(phi, gold))
-        term = ad.scale(term, w)
+        term = ad.scale(term, w[level.slot])
         total = term if total is None else ad.add(total, term)
-    if total is None:
-        raise ContractError("all loss weights are zero")
-    return total
+    return total  # the weights sum to 1, so one term is live
 
 
 # ---------------------------------------------------------------------------

@@ -347,10 +347,22 @@ def _runnable(command, tmp_path, corpus_path, embeddings_path, trained_dir):
     (["bench", "--seed", "-1"], "parameter seed must be >= 0, got -1"),
     (["predict", "--table-seed", "-1"], "table seed must be >= 0, got -1"),
     (["eval", "--table-seed", "-1"], "table seed must be >= 0, got -1"),
+    (["train", "--set", "learning_rate=nan"],
+     "learning_rate must be positive and finite, got nan"),
+    (["train", "--set", "learning_rate=inf"],
+     "learning_rate must be positive and finite, got inf"),
+    (["train", "--set", "accumulator_init=nan"],
+     "accumulator_init must be positive and finite, got nan"),
+    (["gradcheck", "--threshold", "nan"],
+     "--threshold must be positive and finite, got nan"),
+    (["gradcheck", "--threshold", "inf"],
+     "--threshold must be positive and finite, got inf"),
 ], ids=["truncate-word", "truncate-list", "lengths-list", "lengths-empty",
         "dim-negative", "dim-zero", "epsilon-nan", "train-seed",
         "gradcheck-seed", "gradcheck-table-seed", "bench-seed",
-        "predict-table-seed", "eval-table-seed"])
+        "predict-table-seed", "eval-table-seed", "learning-rate-nan",
+        "learning-rate-inf", "accumulator-init-nan", "threshold-nan",
+        "threshold-inf"])
 def test_malformed_number_is_usage_error(args, message, tmp_path, corpus_path,
                                          embeddings_path, trained_dir, capsys):
     args = args + _runnable(args[0], tmp_path, corpus_path, embeddings_path,

@@ -308,7 +308,7 @@ def test_distributions_sum_to_one(toy):
     _, _, _, enc, params = toy
     scores, _ = run_tape(params, enc)
     dists = mdl.distributions(scores)
-    assert set(dists) == {1, 2, 3, 4}
+    assert list(dists) == ["phi1", "phi2", "phi3", "phi4"]
     for p in dists.values():
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p >= 0)
@@ -317,9 +317,9 @@ def test_distributions_sum_to_one(toy):
 def test_distributions_shift_invariance(toy):
     _, _, _, enc, params = toy
     scores, _ = run_tape(params, enc)
-    p4 = mdl.distributions(scores)[4]
+    p4 = mdl.distributions(scores)["phi4"]
     shifted = mdl.CascadeScores(phi4=scores.phi4.value + 123.0)
-    p4s = mdl.distributions(shifted)[4]
+    p4s = mdl.distributions(shifted)["phi4"]
     assert np.max(np.abs(p4 - p4s)) < 1e-12
 
 
@@ -573,6 +573,59 @@ def test_combined_level1_wiring(toy):
     scores = mdl.score_example(params, enc)
     assert scores.phi_comb is not None and scores.phi1 is None
     assert scores.phi4 is not None
+
+
+# every wiring a checkpoint can carry: the six ablations, and both level-1
+# heads with nothing above them, which no ablation names
+WIRINGS = {
+    **{name: TrainConfig(ablation=name, hidden_width=8).arch(8)
+       for name in ABLATIONS},
+    "level1_both_only": mdl.Architecture(embed_dim=8, hidden_width=8,
+                                         use_level2=False, use_level3=False),
+}
+EXPECTED_LEVELS = {
+    "full": ["phi1", "phi2", "phi3", "phi4"],
+    "single_loss": ["phi1", "phi2", "phi3", "phi4"],
+    "combined_level1": ["phi_comb", "phi3", "phi4"],
+    "level12_only": ["phi1", "phi2", "phi3"],
+    "level1_qs_only": ["phi1"],
+    "level1_sc_only": ["phi2"],
+    "level1_both_only": ["phi1", "phi2"],
+}
+
+
+def _score(example, table, arch):
+    params = mdl.CascadeParams.initialize(arch, 0)
+    enc = mdl.encode_example(example, build_candidates(example, arch.span_limit),
+                             table, arch)
+    return mdl.score_example(params, enc), enc
+
+
+@pytest.mark.parametrize("wiring", list(WIRINGS))
+def test_level_table_names_the_scores_and_distributions(wiring, toy):
+    example, table, _, _, _ = toy
+    arch = WIRINGS[wiring]
+    assert [level.name for level in arch.levels] == EXPECTED_LEVELS[wiring]
+    scores, _ = _score(example, table, arch)
+    held = [name for name, phi in vars(scores).items() if phi is not None]
+    assert held == EXPECTED_LEVELS[wiring]
+    assert list(mdl.distributions(scores)) == EXPECTED_LEVELS[wiring]
+
+
+def test_level_table_stages_and_loss_slots():
+    assert [(level.name, level.stage, level.slot) for level in mdl.LEVELS] == [
+        ("phi1", 1, 0), ("phi2", 1, 1), ("phi_comb", 1, 0), ("phi3", 2, 2),
+        ("phi4", 3, 3)]
+
+
+def test_unnamed_level1_wiring_predicts_from_summed_heads(toy):
+    example, table, _, _, _ = toy
+    scores, enc = _score(example, table, WIRINGS["level1_both_only"])
+    summed = scores.phi1 + scores.phi2
+    expected = np.array([summed[enc.span_unique == uid].max()
+                         for uid in range(enc.n_unique)])
+    got = mdl.prediction_scores(scores, enc)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_architecture_validation():

@@ -1,5 +1,6 @@
 """Objective, Adagrad, configuration wiring, and the training loop."""
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -18,6 +19,7 @@ from spancascade.errors import (
     UsageError,
 )
 from spancascade.training import (
+    LAMBDA_KEYS,
     AdagradState,
     LossWeights,
     TrainConfig,
@@ -65,6 +67,24 @@ def test_config_rejects_weight_for_inactive_level():
     with pytest.raises(ContractError, match="lambda2"):
         TrainConfig.from_mapping({"ablation": "level1_qs_only",
                                   "lambda1": "0.5", "lambda2": "0.5"})
+    # all weight on one slot is rejected exactly when no level of that
+    # slot is active
+    inactive = {
+        "full": [], "single_loss": [], "combined_level1": ["lambda2"],
+        "level12_only": ["lambda4"],
+        "level1_qs_only": ["lambda2", "lambda3", "lambda4"],
+        "level1_sc_only": ["lambda1", "lambda3", "lambda4"],
+    }
+    assert LAMBDA_KEYS == ("lambda1", "lambda2", "lambda3", "lambda4")
+    assert len(dataclasses.fields(LossWeights)) == len(LAMBDA_KEYS)
+    for ablation, keys in inactive.items():
+        for slot, key in enumerate(LAMBDA_KEYS):
+            weights = LossWeights(*(float(i == slot) for i in range(4)))
+            if key in keys:
+                with pytest.raises(ContractError, match=f"{key} is 1.0"):
+                    TrainConfig(ablation=ablation, weights=weights)
+            else:
+                TrainConfig(ablation=ablation, weights=weights)
 
 
 def test_config_from_mapping_and_unknown_key():
