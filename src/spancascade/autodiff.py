@@ -7,10 +7,12 @@ and accumulates gradients in that fixed order, so repeated runs are
 bitwise identical. Each op takes only the shapes the cascade gives it:
 ``ffnn`` (one fused node) maps (n, d) rows to (n, w) rows and ``linear``
 maps those to (n,) scores; ``softmax`` runs over a vector or along one
-axis of a matrix; ``logsumexp`` maps (n,) to a scalar; ``matmul`` takes
-1-D or 2-D operands; ``add`` takes equal shapes, matrix + bias row or
-anything + scalar; ``scale``, ``relu`` and ``dropout`` are elementwise;
-``transpose``, ``concat``, ``hstack``, ``stack_rows``, ``tile_rows``,
+axis of a matrix, ``segment_softmax`` along each run of a matrix's
+columns; ``logsumexp`` maps (n,) to a scalar; ``matmul`` takes 1-D or 2-D
+operands, ``segment_matmul`` multiplies each column run of one matrix by
+the matching row run of another; ``add`` takes equal shapes, matrix + bias
+row or anything + scalar; ``scale``, ``relu`` and ``dropout`` are
+elementwise; ``transpose``, ``concat``, ``hstack``, ``tile_rows``,
 ``sum_rows``, ``gather`` and ``segment_sum`` move entries and rows. A tape
 built with ``record=False`` runs the same operations for inference without
 keeping any node.
@@ -257,24 +259,6 @@ def hstack(xs: list[Tensor]) -> Tensor:
                       tuple(x.idx for x in xs), back)
 
 
-def stack_rows(xs: list[Tensor]) -> Tensor:
-    """Stack equal-length vectors into the rows of a matrix."""
-    if not xs:
-        raise EmptyCandidateError("stack_rows of an empty list")
-    tape = _check_same_tape(*xs)
-    dim = xs[0].value.shape
-    for x in xs:
-        if x.value.ndim != 1 or x.value.shape != dim:
-            raise DimensionError(
-                f"stack_rows expects vectors of shape {dim}, got {x.value.shape}"
-            )
-
-    def back(g):
-        return tuple(g)  # one row per input
-
-    return tape._push(np.stack([x.value for x in xs]), tuple(x.idx for x in xs), back)
-
-
 def tile_rows(a: Tensor, n: int) -> Tensor:
     """Repeat a vector as the rows of an (n, d) matrix."""
     if a.value.ndim != 1:
@@ -302,6 +286,18 @@ def _check_row_ids(idx: Array, n: int, op: str) -> None:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise DimensionError(f"{op} row ids must lie in [0, {n}), got "
                              f"{idx.min()}..{idx.max()}")
+
+
+def _run_sizes(starts, n: int, op: str) -> tuple:
+    """(starts, sizes) of consecutive non-empty runs that tile [0, n);
+    ``starts`` must rise strictly from 0 and stay below n."""
+    starts = np.asarray(starts, dtype=np.intp)
+    tiles = starts.ndim == 1 and starts.size > 0 and starts[0] == 0
+    sizes = np.diff(starts, append=n) if tiles else None
+    if not tiles or sizes.min() < 1:
+        raise DimensionError(f"{op} run starts {starts.tolist()} do not split "
+                             f"{n} entries into non-empty runs from 0")
+    return starts, sizes
 
 
 def _scatter_add_rows(rows: Array, idx: Array, n: int) -> Array:
@@ -359,6 +355,31 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int,
     return a.tape._push(out, (into.idx, a.idx), lambda g: (g, g[segment_ids]))
 
 
+def segment_matmul(a: Tensor, b: Tensor, starts) -> Tensor:
+    """Per run r of columns of a (m, n) ``a``, the product a[:, r] @ b[r]
+    with the matching rows of an (n, d) ``b``; the (runs * m, d) products
+    are stacked run by run. Costs m * n * d multiply-accumulates."""
+    tape = _check_same_tape(a, b)
+    av, bv = a.value, b.value
+    if not (av.ndim == bv.ndim == 2 and av.shape[1] == bv.shape[0]):
+        raise DimensionError(f"segment_matmul shapes {av.shape} and {bv.shape}")
+    starts, sizes = _run_sizes(starts, bv.shape[0], "segment_matmul")
+    tape.stats.macs += av.size * bv.shape[1]
+    runs = [slice(s, s + n) for s, n in zip(starts.tolist(), sizes.tolist())]
+    b_needs = tape.record and tape._needs[b.idx]
+
+    def back(g):
+        blocks = np.split(g, len(runs))
+        ga = np.concatenate([gr @ bv[r].T for gr, r in zip(blocks, runs)],
+                            axis=1)
+        gb = (np.concatenate([av[:, r].T @ gr for gr, r in zip(blocks, runs)])
+              if b_needs else None)
+        return ga, gb
+
+    return tape._push(np.concatenate([av[:, r] @ bv[r] for r in runs]),
+                      (a.idx, b.idx), back)
+
+
 # ---------------------------------------------------------------------------
 # softmax family
 
@@ -384,6 +405,23 @@ def softmax(a: Tensor, axis: int = 0) -> Tensor:
     else:
         back = lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
     return a.tape._push(y, (a.idx,), back)
+
+
+def segment_softmax(a: Tensor, starts) -> Tensor:
+    """Softmax of each matrix row over each run of columns that begins at
+    one of ``starts``, max-subtracted per run."""
+    v = a.value
+    if v.ndim != 2:
+        raise DimensionError(f"segment_softmax expects a matrix, got {v.shape}")
+    starts, sizes = _run_sizes(starts, v.shape[1], "segment_softmax")
+
+    def per_run(x, op):  # op over each run, repeated across its columns
+        return np.repeat(op.reduceat(x, starts, axis=1), sizes, axis=1)
+
+    e = np.exp(v - per_run(v, np.maximum))
+    y = e / per_run(e, np.add)
+    return a.tape._push(y, (a.idx,),
+                        lambda g: (y * (g - per_run(g * y, np.add)),))
 
 
 def logsumexp(a: Tensor) -> Tensor:
@@ -428,7 +466,8 @@ class DropoutState:
         return self.training and self.rate > 0.0
 
 
-def _dropout_mask(state: DropoutState | None, shape) -> Array | None:
+def dropout_mask(state: DropoutState | None, shape) -> Array | None:
+    """A fresh inverted-scaling mask of ``shape``; None when dropout is off."""
     if state is None or not state.active:
         return None
     return (state.rng.random(shape) >= state.rate) / (1.0 - state.rate)
@@ -436,7 +475,7 @@ def _dropout_mask(state: DropoutState | None, shape) -> Array | None:
 
 def dropout(a: Tensor, state: DropoutState | None) -> Tensor:
     """Zero units with probability ``rate``; kept units scale by 1/(1-rate)."""
-    mask = _dropout_mask(state, a.value.shape)
+    mask = dropout_mask(state, a.value.shape)
     if mask is None:
         return a
     return a.tape._push(a.value * mask, (a.idx,), lambda g: (g * mask,))
@@ -505,12 +544,14 @@ def _uniform_init(rng: np.random.Generator, *shape) -> Array:
     return rng.uniform(-r, r, size=shape)
 
 
-def ffnn(x: Tensor, p: FfnnParams, drop: DropoutState | None = None) -> Tensor:
+def ffnn(x: Tensor, p: FfnnParams, drop: DropoutState | None = None,
+         masks: tuple | None = None) -> Tensor:
     """Apply the two-layer ReLU net to each row of a matrix.
 
     One fused node with a hand-written backward. In training mode dropout
     hits both ReLU outputs (inverted scaling, first layer's mask drawn
-    first); at inference it is the identity.
+    first); at inference it is the identity. ``masks``, a (first, second)
+    pair of masks drawn earlier, replaces the draws from ``drop``.
     """
     V, a, U, b = p.V, p.a, p.U, p.b
     tape = _check_same_tape(x, V, a, U, b)
@@ -523,19 +564,22 @@ def ffnn(x: Tensor, p: FfnnParams, drop: DropoutState | None = None) -> Tensor:
         raise DimensionError(f"ffnn input must be rows of width {in_dim} for "
                              f"V shape {Vv.shape}, got shape {xv.shape}")
     rows = xv.shape[0]
+    shape = (rows, width)
+    drop1, drop2 = masks or (dropout_mask(drop, shape), dropout_mask(drop, shape))
+    if masks and not drop1.shape == drop2.shape == shape:
+        raise DimensionError(f"ffnn masks of shapes {drop1.shape} and "
+                             f"{drop2.shape} for {rows} rows of width {width}")
     tape.stats.macs += rows * in_dim * width + rows * width * width
     pre1 = xv @ Vv.T
     pre1 += a.value
     on1 = pre1 > 0 if tape.record else None  # ReLU masks, for backward only
     h = np.maximum(pre1, 0.0, out=pre1)
-    drop1 = _dropout_mask(drop, h.shape)
     if drop1 is not None:
         h = h * drop1
     pre2 = h @ Uv.T
     pre2 += b.value
     on2 = pre2 > 0 if tape.record else None
     out = np.maximum(pre2, 0.0, out=pre2)
-    drop2 = _dropout_mask(drop, out.shape)
     if drop2 is not None:
         out = out * drop2
     parents = (x.idx, V.idx, a.idx, U.idx, b.idx)

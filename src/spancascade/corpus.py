@@ -153,8 +153,11 @@ def truncate(
     ``max_tokens`` keeping whole sentences except possibly the last.
     Idempotent.
     """
-    if max_tokens < 1 or max_sentences < 1 or max_sentence_len < 1:
-        raise ContractError("truncation limits must be positive")
+    for key, limit in (("max_tokens", max_tokens),
+                       ("max_sentences", max_sentences),
+                       ("max_sentence_len", max_sentence_len)):
+        if limit < 1:
+            raise ContractError(f"{key} must be positive, got {limit}")
     tokens: list = []
     sentences: list = []
     for s, e in doc.sentences[:max_sentences]:

@@ -3,27 +3,30 @@
 Level 1 scores each candidate span from bags of embeddings: one submodel
 pairs the span with a learned weighted summary of the question, the other
 pairs it with averaged K-token left/right contexts. Level 2 aligns the
-question with the span's sentence using attend/compare attention computed
-once per sentence (shared by every span in it) and rescores using the
-level-1 hidden states. Level 3 passes each mention's level-2 hidden state
-through a transform, sums the results over all mentions of the same unique
-candidate, and produces the score used for prediction.
+question with the span's sentence by attend/compare attention, computed
+for every sentence (and shared by the spans in it) in one batched pass per
+group of whole sentences, and rescores using the level-1 hidden states.
+Level 3 passes each mention's level-2 hidden state through a transform,
+sums the results over all mentions of the same unique candidate, and
+produces the score used for prediction.
 
 One forward pass, ``forward_cascade``, serves both uses: training runs it
 on a recording tape, inference (``score_example``) on a non-recording one.
-Span stages and level 3 run over row chunks of bounded size, so the working
-set is the O(n e) prefix sums, the O(U w) level-3 sums, O(S) indices and
-scores, and one chunk's features and activations.
+Span stages, sentence groups and level 3 run over chunks of bounded rows,
+so the working set is the O(n e) prefix sums, the O(U w) level-3 sums,
+O(S) indices and scores, and one chunk's features and activations.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import math
 import os
 import tempfile
 from collections import namedtuple
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -106,10 +109,7 @@ class Architecture:
 
 @dataclass
 class ForwardStats:
-    """Counters one forward pass adds to: attention calls and MACs.
-
-    Counting never changes a score.
-    """
+    """Counters one forward pass adds to; counting never changes a score."""
 
     attention_calls: int = 0
     macs: int = 0
@@ -210,34 +210,38 @@ class CascadeParams:
         w = arch.hidden_width
         p = cls(arch=arch, seed=int(seed))
         for name, in_dim in cls._submodel_dims(arch).items():
-            if name.startswith("ffnn"):
-                setattr(p, name, FfnnParams.initialize(in_dim, w, rng))
-            else:
-                setattr(p, name, LinearParams.initialize(in_dim, rng))
+            setattr(p, name, FfnnParams.initialize(in_dim, w, rng)
+                    if name.startswith("ffnn") else
+                    LinearParams.initialize(in_dim, rng))
         return p
 
-    def _active(self) -> list:
-        """(name, submodel) pairs: nets, then heads, each in _submodel_dims
-        order; this is the checkpoint and tape-variable order."""
-        names = sorted(self._submodel_dims(self.arch),
+    @staticmethod
+    @functools.cache
+    def _layout(arch: Architecture) -> tuple:
+        """(submodel, [(part, tensor name)]) of the nets, then the heads, each
+        in _submodel_dims order: the checkpoint and tape-variable order."""
+        names = sorted(CascadeParams._submodel_dims(arch),
                        key=lambda name: name.startswith("linear"))
-        return [(name, getattr(self, name)) for name in names]
+        return tuple((name, tuple(
+            (part.name, f"{name}.{part.name}") for part in
+            fields(FfnnParams if name.startswith("ffnn") else LinearParams)))
+            for name in names)
 
     def named_arrays(self) -> list:
         """(name, array) pairs in a fixed order; the flat parameter view."""
-        return [(f"{name}.{part.name}", getattr(net, part.name))
-                for name, net in self._active() for part in fields(net)]
+        return [(key, getattr(getattr(self, name), part))
+                for name, parts in self._layout(self.arch) for part, key in parts]
 
     def as_dict(self) -> dict:
         return dict(self.named_arrays())
 
     def bind(self, tape: Tape) -> "CascadeParams":
         """Register every array as a named tape variable; returns the bound view."""
-        bound = replace(self)
-        for name, net in self._active():
-            setattr(bound, name, type(net)(*[
-                tape.variable(getattr(net, part.name), f"{name}.{part.name}")
-                for part in fields(net)]))
+        bound = copy.copy(self)
+        for name, parts in self._layout(self.arch):
+            net = getattr(self, name)
+            setattr(bound, name, type(net)(*[tape.variable(getattr(net, part), key)
+                                             for part, key in parts]))
         return bound
 
     @classmethod
@@ -392,32 +396,6 @@ def submodel(columns: list, net: FfnnParams, head: LinearParams,
     return h, linear(h, head)
 
 
-def sentence_attention(q: Tensor, q_projected: Tensor, g: Tensor,
-                       bound: CascadeParams, drop: DropoutState | None = None,
-                       stats: ForwardStats | None = None):
-    """Attend/compare between the question and one sentence.
-
-    ``q_projected`` is the question through ``ffnn_att1``, computed once
-    per example. Returns the sentence-aware question summary and the
-    question-aware sentence summary (both hidden-width vectors). Called
-    once per (question, sentence) pair and shared by every span in the
-    sentence.
-    """
-    if g.value.shape[0] < 1:
-        raise ContractError("sentence must have at least one token")
-    if stats is not None:
-        stats.attention_calls += 1
-    g_projected = ffnn(g, bound.ffnn_att1, drop)
-    eta = ad.matmul(q_projected, ad.transpose(g_projected))  # (m, G)
-    align_q = ad.softmax(eta, axis=1)  # each question token over the sentence
-    align_g = ad.softmax(eta, axis=0)  # each sentence token over the question
-    q_attended = ad.matmul(align_q, g)               # (m, e)
-    g_attended = ad.matmul(ad.transpose(align_g), q)  # (G, e)
-    q_bar = ad.sum_rows(ffnn(ad.hstack([q, q_attended]), bound.ffnn_att2, drop))
-    g_bar = ad.sum_rows(ffnn(ad.hstack([g, g_attended]), bound.ffnn_att2, drop))
-    return q_bar, g_bar
-
-
 def level3_aggregate(summed: Tensor, bound: CascadeParams,
                      drop: DropoutState | None = None):
     """Score each unique candidate from the sum of its mention vectors.
@@ -436,22 +414,55 @@ def level3_aggregate(summed: Tensor, bound: CascadeParams,
     return phis[0] if len(phis) == 1 else ad.concat(phis)
 
 
-def sentence_summaries(tape: Tape, q_const: Tensor, enc: EncodedExample,
+def _attention_masks(drop: DropoutState | None, sizes: list, m: int, w: int):
+    """Mask pairs for a group's ffnn_att1 and its two ffnn_att2 calls: each
+    sentence's six masks, drawn as a pass over that sentence alone would."""
+    if drop is None or not drop.active:
+        return None, None, None
+    drawn = [[ad.dropout_mask(drop, (rows, w)) for rows in (G, G, m, m, G, G)]
+             for G in sizes]
+    joined = [np.concatenate(masks) for masks in zip(*drawn)]
+    return list(zip(joined[::2], joined[1::2]))
+
+
+def sentence_summaries(tape: Tape, q: Tensor, enc: EncodedExample,
                        bound: CascadeParams, drop: DropoutState | None = None,
                        stats: ForwardStats | None = None):
-    """Attend/compare once per sentence; (n_sentences, w) q_bar and g_bar rows."""
-    q_projected = ffnn(q_const, bound.ffnn_att1, drop)
-    pairs = [sentence_attention(q_const, q_projected,
-                                tape.constant(enc.doc_embed[s:e]), bound,
-                                drop, stats)
-             for s, e in enc.sentence_ranges]
-    q_bars, g_bars = zip(*pairs)
-    return ad.stack_rows(q_bars), ad.stack_rows(g_bars)
+    """Attend/compare of the question with each sentence: (n_sentences, w)
+    q_bar and g_bar rows, from one pass per group of whole sentences (at
+    most _MAX_CHUNK_ROWS tokens, or one longer sentence). Segment ops keep
+    each sentence's alignments and sums to its own tokens."""
+    groups, tokens = [], 0
+    for s, e in enc.sentence_ranges:
+        if not groups or tokens + e - s > _MAX_CHUNK_ROWS:
+            groups, tokens = groups + [[]], 0
+        groups[-1].append((s, e))
+        tokens += e - s
+    m, w = q.value.shape[0], bound.arch.hidden_width
+    q_projected = ffnn(q, bound.ffnn_att1, drop)
+    q_bars, g_bars = [], []
+    for group in groups:
+        n, sizes = len(group), [e - s for s, e in group]
+        starts = np.cumsum(sizes) - sizes
+        if stats is not None:
+            stats.attention_calls += n
+        att1, att2_q, att2_g = _attention_masks(drop, sizes, m, w)
+        g = tape.constant(np.concatenate([enc.doc_embed[s:e] for s, e in group]))
+        g_projected = ffnn(g, bound.ffnn_att1, masks=att1)
+        eta = ad.matmul(q_projected, ad.transpose(g_projected))  # (m, N)
+        q_att = ad.segment_matmul(ad.segment_softmax(eta, starts), g, starts)
+        g_att = ad.matmul(ad.transpose(ad.softmax(eta, axis=0)), q)  # (N, e)
+        q_rows = ad.hstack([tape.constant(np.tile(q.value, (n, 1))), q_att])
+        q_cmp = ffnn(q_rows, bound.ffnn_att2, masks=att2_q)  # (n * m, w)
+        g_cmp = ffnn(ad.hstack([g, g_att]), bound.ffnn_att2, masks=att2_g)
+        q_bars.append(ad.segment_sum(q_cmp, np.repeat(np.arange(n), m), n))
+        g_bars.append(ad.segment_sum(g_cmp, np.repeat(np.arange(n), sizes), n))
+    return ad.concat(q_bars), ad.concat(g_bars)
 
 
-# Rows per span-stage or level-3 chunk, which bounds the activations of a
-# long document to one chunk's; a training example with at most this many
-# spans runs as one chunk, drawing dropout masks level by level.
+# Rows per span-stage or level-3 chunk and tokens per sentence group: it
+# bounds a long document's activations to one chunk's; a training example
+# with at most this many spans runs as one chunk, drawing masks level by level.
 _MAX_CHUNK_ROWS = 2048
 
 
@@ -531,11 +542,8 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
 
 
 def distributions(scores: CascadeScores) -> dict:
-    """Softmax each active level's scores; keyed by level name.
-
-    Uses the tape's softmax, so every probability vector the cascade makes
-    comes from ``autodiff._softmax``.
-    """
+    """Softmax (``autodiff._softmax``) of each active level's scores; keyed
+    by level name."""
     out = {}
     for level, phi in scores.values().active():
         phi = np.asarray(phi)
@@ -581,12 +589,8 @@ def predict(scores: CascadeScores, enc: EncodedExample) -> Prediction | None:
         return None
     u_scores = prediction_scores(scores, enc)
     best = int(np.argmax(u_scores))  # first maximum wins on exact ties
-    return Prediction(
-        unique_id=best,
-        text=enc.unique_surfaces[best],
-        score=float(u_scores[best]),
-        mention_count=int(enc.mention_counts[best]),
-    )
+    return Prediction(best, enc.unique_surfaces[best], float(u_scores[best]),
+                      int(enc.mention_counts[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +628,9 @@ def make_scorer(params: CascadeParams, table: EmbeddingTable):
                                  [], np.zeros(0), np.zeros(0, dtype=np.intp))
         enc = encode_example(example, cands, table, arch)
         scores = score_example(params, enc)
-        return ScoredExample(
-            example.example_id,
-            list(example.answers),
-            enc.unique_surfaces,
-            prediction_scores(scores, enc),
-            enc.mention_counts,
-        )
+        return ScoredExample(example.example_id, list(example.answers),
+                             enc.unique_surfaces,
+                             prediction_scores(scores, enc), enc.mention_counts)
 
     return scorer
 

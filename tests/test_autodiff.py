@@ -291,6 +291,64 @@ def test_gradients_attention_style(seed):
     _random_op_check(build, {"q": (3, 4), "d": (3, 4)}, seed)
 
 
+RUN_STARTS = [0, 1, 4]  # runs of 1, 3 and 2 of six columns
+
+
+def test_segment_softmax_is_softmax_of_each_run():
+    eta = np.random.default_rng(3).normal(size=(3, 6)) * 5.0
+    y = ad.segment_softmax(ad.Tape().constant(eta), RUN_STARTS).value
+    for lo, hi in ((0, 1), (1, 4), (4, 6)):
+        np.testing.assert_allclose(y[:, lo:hi], ad._softmax(eta[:, lo:hi], 1),
+                                   rtol=0, atol=1e-15)
+
+
+def test_segment_matmul_multiplies_each_run_and_counts_its_macs():
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(2, 6)), rng.normal(size=(6, 3))
+    tape = ad.Tape()
+    out = ad.segment_matmul(tape.constant(a), tape.constant(b), RUN_STARTS)
+    expect = np.concatenate([a[:, lo:hi] @ b[lo:hi]
+                             for lo, hi in ((0, 1), (1, 4), (4, 6))])
+    np.testing.assert_allclose(out.value, expect, rtol=0, atol=1e-15)
+    assert tape.stats.macs == 2 * 6 * 3
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gradients_segment_softmax(seed):
+    weights = np.random.default_rng(seed + 10).normal(size=6)
+    _random_op_check(
+        lambda t, p: ad.logsumexp(ad.matmul(
+            ad.segment_softmax(p["eta"], RUN_STARTS), t.constant(weights))),
+        {"eta": (3, 6)}, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gradients_segment_matmul(seed):
+    weights = np.random.default_rng(seed + 10).normal(size=3)
+    _random_op_check(
+        lambda t, p: ad.logsumexp(ad.matmul(
+            ad.segment_matmul(p["a"], p["b"], RUN_STARTS), t.constant(weights))),
+        {"a": (2, 6), "b": (6, 3)}, seed)
+
+
+@pytest.mark.parametrize("starts", [[1, 4], [0, 4, 4], [0, 3, 1], [0, 6],
+                                    [0, 7], [], [[0, 1]]])
+def test_segment_ops_reject_starts_that_do_not_tile_the_columns(starts):
+    tape = ad.Tape()
+    eta = tape.constant(np.zeros((3, 6)))
+    with pytest.raises(DimensionError):
+        ad.segment_softmax(eta, starts)
+    with pytest.raises(DimensionError):
+        ad.segment_matmul(eta, tape.constant(np.zeros((6, 2))), starts)
+
+
+def test_segment_matmul_rejects_mismatched_operands():
+    tape = ad.Tape()
+    with pytest.raises(DimensionError):
+        ad.segment_matmul(tape.constant(np.zeros((3, 6))),
+                          tape.constant(np.zeros((5, 2))), [0])
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_gradients_full_ffnn_linear(seed):
     def build(tape, p):
@@ -373,9 +431,9 @@ def test_tape_with_gathers_and_stacks_is_freed_without_cyclic_gc():
         tape = ad.Tape()
         x = tape.variable(np.arange(6.0).reshape(3, 2), "x")
         v = tape.variable(np.arange(3.0), "v")
-        rows = ad.stack_rows([ad.sum_rows(ad.gather(x, [0, 2])),
-                              ad.gather(v, [1, 2])])
-        grads = tape.backward(ad.logsumexp(ad.sum_rows(rows)))
+        rows = ad.concat([ad.sum_rows(ad.gather(x, [0, 2])),
+                          ad.gather(v, [1, 2])])
+        grads = tape.backward(ad.logsumexp(rows))
         assert set(grads) == {"x", "v"}
         return weakref.ref(tape)
 
@@ -455,6 +513,22 @@ def test_dropout_inverted_scaling_and_inference_identity():
     assert 0.6 < (y.value > 0).mean() < 0.9
     off = ad.dropout(x, ad.DropoutState.off())
     assert off is x  # identity at inference
+
+
+def test_ffnn_masks_drawn_earlier_replace_the_draws():
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-2, 2, (4, 3))
+    net_arrays = _ffnn_arrays(3, 5, rng)
+    tape = ad.Tape()
+    net = ad.FfnnParams(*[tape.variable(v, k) for k, v in net_arrays.items()])
+    drawn = ad.ffnn(tape.constant(x), net, ad.DropoutState(
+        0.3, np.random.default_rng(2), training=True))
+    state = ad.DropoutState(0.3, np.random.default_rng(2), training=True)
+    masks = (ad.dropout_mask(state, (4, 5)), ad.dropout_mask(state, (4, 5)))
+    given = ad.ffnn(tape.constant(x), net, masks=masks)
+    assert given.value.tobytes() == drawn.value.tobytes()
+    with pytest.raises(DimensionError):
+        ad.ffnn(tape.constant(x), net, masks=(masks[0], masks[1][:1]))
 
 
 def test_dropout_contract_checks():

@@ -357,12 +357,15 @@ def _runnable(command, tmp_path, corpus_path, embeddings_path, trained_dir):
      "--threshold must be positive and finite, got nan"),
     (["gradcheck", "--threshold", "inf"],
      "--threshold must be positive and finite, got inf"),
+    (["train", "--set", "max_tokens=0"], "max_tokens must be positive, got 0"),
+    (["train", "--set", "max_sentence_len=-1"],
+     "max_sentence_len must be positive, got -1"),
 ], ids=["truncate-word", "truncate-list", "lengths-list", "lengths-empty",
         "dim-negative", "dim-zero", "epsilon-nan", "train-seed",
         "gradcheck-seed", "gradcheck-table-seed", "bench-seed",
         "predict-table-seed", "eval-table-seed", "learning-rate-nan",
         "learning-rate-inf", "accumulator-init-nan", "threshold-nan",
-        "threshold-inf"])
+        "threshold-inf", "max-tokens-zero", "max-sentence-len-negative"])
 def test_malformed_number_is_usage_error(args, message, tmp_path, corpus_path,
                                          embeddings_path, trained_dir, capsys):
     args = args + _runnable(args[0], tmp_path, corpus_path, embeddings_path,

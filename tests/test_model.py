@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,45 +179,126 @@ def test_forward_deterministic_bitwise(toy):
 # attention
 
 
-def attend(tape, bound, q, g):
-    """``sentence_attention`` on plain arrays, projecting the question."""
-    q = tape.constant(q)
-    q_projected = ad.ffnn(q, bound.ffnn_att1)
-    return mdl.sentence_attention(q, q_projected, tape.constant(g), bound)
+def oracle_attention(q, q_projected, g, bound, drop=None):
+    """Attend/compare between the question and one sentence, as a loop over
+    sentences ran it: the oracle for the grouped pass."""
+    g_projected = ad.ffnn(g, bound.ffnn_att1, drop)
+    eta = ad.matmul(q_projected, ad.transpose(g_projected))  # (m, G)
+    align_q = ad.softmax(eta, axis=1)  # each question token over the sentence
+    align_g = ad.softmax(eta, axis=0)  # each sentence token over the question
+    q_attended = ad.matmul(align_q, g)               # (m, e)
+    g_attended = ad.matmul(ad.transpose(align_g), q)  # (G, e)
+    q_bar = ad.sum_rows(ad.ffnn(ad.hstack([q, q_attended]), bound.ffnn_att2,
+                                drop))
+    g_bar = ad.sum_rows(ad.ffnn(ad.hstack([g, g_attended]), bound.ffnn_att2,
+                                drop))
+    return q_bar, g_bar
 
 
-def test_attention_singleton_alignment_is_one(softmax_spy):
+def oracle_summaries(tape, q_const, enc, bound, drop=None):
+    """``sentence_summaries`` by the oracle, one sentence at a time."""
+    q_projected = ad.ffnn(q_const, bound.ffnn_att1, drop)
+    pairs = [oracle_attention(q_const, q_projected,
+                              tape.constant(enc.doc_embed[s:e]), bound, drop)
+             for s, e in enc.sentence_ranges]
+    return tuple(ad.concat([ad.tile_rows(bar, 1) for bar in bars])
+                 for bars in zip(*pairs))
+
+
+def sentences_enc(sentences):
+    """The two fields of an encoded example that attention reads."""
+    bounds = np.cumsum([0] + [len(g) for g in sentences]).tolist()
+    return SimpleNamespace(doc_embed=np.concatenate(sentences),
+                           sentence_ranges=list(zip(bounds, bounds[1:])))
+
+
+def attend(q, sentences, summaries=mdl.sentence_summaries, drop=None,
+           params=None):
+    """(q_bar, g_bar, gradients of a loss over both) for plain arrays."""
+    tape = ad.Tape()
+    params = params or mdl.CascadeParams.initialize(ARCH, 0)
+    bound = params.bind(tape)
+    q_bar, g_bar = summaries(tape, tape.constant(q), sentences_enc(sentences),
+                             bound, drop)
+    # a random linear loss, so every sentence's rows weigh on the gradients
+    rng = np.random.default_rng(8)
+    terms = []
+    for bar in (q_bar, g_bar):
+        u = tape.constant(rng.normal(size=ARCH.hidden_width))
+        c = tape.constant(rng.normal(size=len(sentences)))
+        terms.append(ad.matmul(ad.matmul(bar, u), c))
+    return q_bar.value, g_bar.value, tape.backward(ad.add(*terms))
+
+
+def test_attention_singleton_alignment_is_one():
+    """A one-token question and one-token sentences align with weight 1,
+    so each side compares its token with the other side's."""
+    rng = np.random.default_rng(0)
+    q, sentences = rng.normal(size=(1, 8)), list(rng.normal(size=(3, 1, 8)))
+    q_bar, g_bar, _ = attend(q, sentences)
     tape = ad.Tape()
     bound = mdl.CascadeParams.initialize(ARCH, 0).bind(tape)
-    rng = np.random.default_rng(0)
-    q = rng.normal(size=(1, 8))
-    g = rng.normal(size=(1, 8))
-    attend(tape, bound, q, g)
-    assert len(softmax_spy) == 2  # one alignment row, one column
-    for vec in softmax_spy:
-        np.testing.assert_array_equal(vec, [1.0])
+    for j, g in enumerate(sentences):
+        for bar, pair in ((q_bar, [q, g]), (g_bar, [g, q])):
+            compared = ad.ffnn(tape.constant(np.hstack(pair)), bound.ffnn_att2)
+            np.testing.assert_allclose(bar[j], compared.value[0], rtol=0,
+                                       atol=1e-12)
 
 
 def test_attention_symmetric_for_identical_sequences():
-    tape = ad.Tape()
-    bound = mdl.CascadeParams.initialize(ARCH, 0).bind(tape)
-    rng = np.random.default_rng(1)
-    q = rng.normal(size=(3, 8))
-    q_bar, g_bar = attend(tape, bound, q, q.copy())
-    np.testing.assert_allclose(q_bar.value, g_bar.value, rtol=1e-12)
+    q = np.random.default_rng(1).normal(size=(3, 8))
+    q_bar, g_bar, _ = attend(q, [q.copy(), q.copy()])
+    np.testing.assert_allclose(q_bar, g_bar, rtol=1e-12)
 
 
 def test_attention_permuting_sentence_tokens_keeps_summaries():
-    tape = ad.Tape()
-    bound = mdl.CascadeParams.initialize(ARCH, 0).bind(tape)
     rng = np.random.default_rng(2)
     q = rng.normal(size=(2, 8))
-    g = rng.normal(size=(3, 8))
-    qb1, gb1 = attend(tape, bound, q, g)
-    perm = [2, 0, 1]
-    qb2, gb2 = attend(tape, bound, q, g[perm])
-    np.testing.assert_allclose(qb1.value, qb2.value, rtol=1e-10)
-    np.testing.assert_allclose(gb1.value, gb2.value, rtol=1e-10)
+    sentences = list(rng.normal(size=(2, 3, 8)))
+    qb1, gb1, _ = attend(q, sentences)
+    qb2, gb2, _ = attend(q, [sentences[0][[2, 0, 1]], sentences[1]])
+    np.testing.assert_allclose(qb1, qb2, rtol=1e-10)
+    np.testing.assert_allclose(gb1, gb2, rtol=1e-10)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+def test_grouped_attention_matches_per_sentence_oracle(rate, monkeypatch):
+    """Ragged sentences (one of 1 token, one longer than a group) in four
+    groups give the oracle's summaries and gradients, and draw the same
+    dropout masks in the same order."""
+    monkeypatch.setattr(mdl, "_MAX_CHUNK_ROWS", 7)
+    rng = np.random.default_rng(3)
+    q = rng.normal(size=(3, 8))
+    sentences = [rng.normal(size=(G, 8)) for G in (3, 1, 9, 2, 4, 1, 6)]
+    params = mdl.CascadeParams.initialize(ARCH, 4)
+    runs = []
+    for summaries in (mdl.sentence_summaries, oracle_summaries):
+        drop = ad.DropoutState(rate, np.random.default_rng(5), training=True)
+        runs.append(attend(q, sentences, summaries, drop, params)
+                    + (drop.rng.random(),))
+    (q_bar, g_bar, grads, after), (q_ref, g_ref, grads_ref, after_ref) = runs
+    np.testing.assert_allclose(q_bar, q_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g_bar, g_ref, rtol=0, atol=1e-12)
+    for name in grads_ref:
+        np.testing.assert_allclose(grads[name], grads_ref[name], rtol=0,
+                                   atol=1e-12, err_msg=name)
+    assert any(np.any(grads[name]) for name in grads if "att1" in name)
+    assert after == after_ref
+
+
+def test_tape_nodes_do_not_grow_with_sentences_in_one_group():
+    table = random_table(["who", "ab", "cd", "ef", ".", "?"], 8, seed=0)
+    nodes = []
+    for n in (2, 20):
+        example = QAExample("n", ["who", "ab", "?"],
+                            [tokenize(" ".join(["ab cd ef ."] * n))], ["cd"])
+        enc = mdl.encode_example(example, build_candidates(example), table,
+                                 ARCH)
+        assert len(enc.sentence_ranges) == n
+        assert max(4 * n, enc.n_spans) <= mdl._MAX_CHUNK_ROWS
+        _, tape = run_tape(mdl.CascadeParams.initialize(ARCH, 0), enc)
+        nodes.append(len(tape))
+    assert nodes[0] == nodes[1]
 
 
 def test_attention_called_once_per_sentence_not_per_span(toy):
