@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
+from . import corpus
 from . import synth
 from .autodiff import Tape, finite_difference_check
 from .corpus import QAExample, build_candidates, load_examples, tokenize, truncate
@@ -127,29 +128,23 @@ def cmd_eval(args) -> int:
     })
     scorer = make_scorer(params, table)
     os.makedirs(args.out, exist_ok=True)
-    if len(limits) > 1:
-        # truncation sweep: (limit, EM, oracle EM) per row
-        rows = []
-        for limit in limits:
-            examples = load_examples(args.data, mode=args.mode,
-                                     max_tokens=limit)
-            if not examples:
-                raise UsageError(f"no examples in {args.data}")
-            report = evaluate(scorer, examples, k_max=args.topk)
-            rows.append((limit, report.em, report.oracle_em))
+    sweep = len(limits) > 1
+    rows = []  # truncation sweep: limit, EM, oracle EM per limit
+    for limit in limits:
+        examples = load_examples(args.data, mode=args.mode, max_tokens=limit)
+        if not examples:
+            raise UsageError(f"no examples in {args.data}")
+        report = evaluate(scorer, examples, k_max=args.topk)
+        rows.append(f"{limit},{report.em:.6f},{report.oracle_em:.6f}\n")
+        if sweep:
             print(f"truncate={limit} em={report.em:.4f} "
                   f"oracle_em={report.oracle_em:.4f}")
+    if sweep:
         sweep_path = os.path.join(args.out, "truncation_sweep.csv")
         with open(sweep_path, "w", encoding="utf-8") as fh:
-            fh.write("limit,em,oracle_em\n")
-            for limit, em, oracle in rows:
-                fh.write(f"{limit},{em:.6f},{oracle:.6f}\n")
+            fh.write("limit,em,oracle_em\n" + "".join(rows))
         print(f"sweep written to {sweep_path}")
         return EXIT_OK
-    examples = load_examples(args.data, mode=args.mode, max_tokens=limits[0])
-    if not examples:
-        raise UsageError(f"no examples in {args.data}")
-    report = evaluate(scorer, examples, k_max=args.topk)
     print(f"EM {report.em:.3f} F1 {report.f1:.3f} "
           f"(oracle EM {report.oracle_em:.3f}, {report.total} examples)")
     report_path = os.path.join(args.out, "report.json")
@@ -266,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table-seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.add_argument("--topk", type=int, default=5)
-    p.add_argument("--truncate", default="6000",
+    p.add_argument("--truncate", default=str(corpus.DEFAULT_MAX_TOKENS),
                    help="token cap, or comma list for a sweep")
     p.add_argument("--mode", choices=("wiki", "web"), default="wiki")
     p.set_defaults(func=cmd_eval)
@@ -277,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table-seed", type=int, default=0)
     p.add_argument("--question", required=True)
     p.add_argument("--document", required=True, help="plain-text file")
-    p.add_argument("--truncate", type=int, default=6000)
+    p.add_argument("--truncate", type=int, default=corpus.DEFAULT_MAX_TOKENS)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("bench", help="cascade vs biLSTM throughput")

@@ -19,8 +19,6 @@ O(S) indices and scores, and one chunk's features and activations.
 
 from __future__ import annotations
 
-import copy
-import functools
 import json
 import math
 import os
@@ -40,7 +38,7 @@ from .autodiff import (
     ffnn,
     linear,
 )
-from .corpus import CandidateSet, QAExample, build_candidates
+from .corpus import DEFAULT_SPAN_LIMIT, CandidateSet, QAExample, build_candidates
 from .embeddings import EmbeddingTable
 from .errors import (
     CheckpointError,
@@ -60,7 +58,7 @@ class Architecture:
 
     embed_dim: int
     hidden_width: int = 300
-    span_limit: int = 5
+    span_limit: int = DEFAULT_SPAN_LIMIT
     context_size: int = 1
     level1_mode: str = "both"    # both | qs | sc
     use_level2: bool = True
@@ -160,25 +158,18 @@ LEVELS = tuple(Level(f.name, *f.metadata["row"]) for f in fields(CascadeScores))
 
 @dataclass
 class CascadeParams:
-    """All trainable weights, grouped by submodel; inactive ones are None."""
+    """All trainable weights: ``nets`` maps each active submodel's name to
+    its FfnnParams/LinearParams, nets then heads, each in _submodel_dims
+    order (the checkpoint and tape-variable order)."""
 
     arch: Architecture
     seed: int
-    ffnn_q: FfnnParams | None = None
-    linear_q: LinearParams | None = None
-    ffnn_qs: FfnnParams | None = None
-    linear_qs: LinearParams | None = None
-    ffnn_c: FfnnParams | None = None
-    linear_c: LinearParams | None = None
-    ffnn_comb: FfnnParams | None = None
-    linear_comb: LinearParams | None = None
-    ffnn_att1: FfnnParams | None = None
-    ffnn_att2: FfnnParams | None = None
-    ffnn_l2: FfnnParams | None = None
-    linear_l2: LinearParams | None = None
-    ffnn_agg: FfnnParams | None = None
-    ffnn_l3: FfnnParams | None = None
-    linear_l3: LinearParams | None = None
+    nets: dict
+
+    def __post_init__(self):
+        # a stable sort: nets, then heads, each keeping its given order
+        self.nets = dict(sorted(self.nets.items(),
+                                key=lambda item: item[0].startswith("linear")))
 
     @classmethod
     def _submodel_dims(cls, arch: Architecture) -> dict:
@@ -208,41 +199,25 @@ class CascadeParams:
             raise ContractError(f"parameter seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         w = arch.hidden_width
-        p = cls(arch=arch, seed=int(seed))
-        for name, in_dim in cls._submodel_dims(arch).items():
-            setattr(p, name, FfnnParams.initialize(in_dim, w, rng)
-                    if name.startswith("ffnn") else
-                    LinearParams.initialize(in_dim, rng))
-        return p
-
-    @staticmethod
-    @functools.cache
-    def _layout(arch: Architecture) -> tuple:
-        """(submodel, [(part, tensor name)]) of the nets, then the heads, each
-        in _submodel_dims order: the checkpoint and tape-variable order."""
-        names = sorted(CascadeParams._submodel_dims(arch),
-                       key=lambda name: name.startswith("linear"))
-        return tuple((name, tuple(
-            (part.name, f"{name}.{part.name}") for part in
-            fields(FfnnParams if name.startswith("ffnn") else LinearParams)))
-            for name in names)
+        return cls(arch, int(seed), {
+            name: FfnnParams.initialize(in_dim, w, rng) if name.startswith("ffnn")
+            else LinearParams.initialize(in_dim, rng)
+            for name, in_dim in cls._submodel_dims(arch).items()})
 
     def named_arrays(self) -> list:
         """(name, array) pairs in a fixed order; the flat parameter view."""
-        return [(key, getattr(getattr(self, name), part))
-                for name, parts in self._layout(self.arch) for part, key in parts]
+        return [(f"{name}.{part}", array) for name, net in self.nets.items()
+                for part, array in vars(net).items()]
 
     def as_dict(self) -> dict:
         return dict(self.named_arrays())
 
     def bind(self, tape: Tape) -> "CascadeParams":
         """Register every array as a named tape variable; returns the bound view."""
-        bound = copy.copy(self)
-        for name, parts in self._layout(self.arch):
-            net = getattr(self, name)
-            setattr(bound, name, type(net)(*[tape.variable(getattr(net, part), key)
-                                             for part, key in parts]))
-        return bound
+        return CascadeParams(self.arch, self.seed, {
+            name: type(net)(*[tape.variable(array, f"{name}.{part}")
+                              for part, array in vars(net).items()])
+            for name, net in self.nets.items()})
 
     @classmethod
     def from_arrays(cls, arch: Architecture, seed: int, arrays: dict) -> "CascadeParams":
@@ -251,7 +226,7 @@ class CascadeParams:
         The mapping must hold exactly the architecture's tensors, each with
         the shape it implies; the arrays are used as given, not copied.
         """
-        p = cls(arch=arch, seed=int(seed))
+        nets = {}
         for name, in_dim in cls._submodel_dims(arch).items():
             kind = FfnnParams if name.startswith("ffnn") else LinearParams
             values = []
@@ -265,7 +240,8 @@ class CascadeParams:
                         f"tensor {key!r} has shape {np.shape(arrays[key])}, "
                         f"the architecture needs {shape}")
                 values.append(arrays[key])
-            setattr(p, name, kind(*values))
+            nets[name] = kind(*values)
+        p = cls(arch, int(seed), nets)
         unexpected = arrays.keys() - p.as_dict().keys()
         if unexpected:
             raise CheckpointError(
@@ -296,8 +272,6 @@ class EncodedExample:
     gold_uniques: np.ndarray    # indices into the unique list
     unique_surfaces: list
     mention_counts: np.ndarray
-    _all_features: tuple = field(default=None, init=False, repr=False,
-                                 compare=False)
 
     @property
     def n_spans(self) -> int:
@@ -305,16 +279,11 @@ class EncodedExample:
 
     def span_features(self, lo: int, hi: int) -> tuple:
         """Span rows [lo, hi) as (span average, left context, right context),
-        each (hi - lo, e); the blocks of all rows are kept once built."""
-        if self._all_features is not None and hi - lo == self.n_spans:
-            return self._all_features
+        each (hi - lo, e), built from the prefix sums."""
         c, K = self.csums, self.context_size
         left, start, end, right = self.span_rows[lo:hi].T
-        blocks = ((c[end] - c[start]) / (end - start)[:, None],
-                  (c[start] - c[left]) / K, (c[right] - c[end]) / K)
-        if hi - lo == self.n_spans:
-            self._all_features = blocks
-        return blocks
+        return ((c[end] - c[start]) / (end - start)[:, None],
+                (c[start] - c[left]) / K, (c[right] - c[end]) / K)
 
 
 def encode_example(example: QAExample, cands: CandidateSet,
@@ -383,8 +352,8 @@ def question_vector(q: Tensor, bound: CascadeParams,
     """Softmax-weighted question summary with learned per-token weights."""
     if q.value.shape[0] < 1:
         raise ContractError("question must have at least one token")
-    h = ffnn(q, bound.ffnn_q, drop)
-    delta = linear(h, bound.linear_q)
+    h = ffnn(q, bound.nets["ffnn_q"], drop)
+    delta = linear(h, bound.nets["linear_q"])
     return ad.matmul(ad.softmax(delta), q)
 
 
@@ -410,7 +379,8 @@ def level3_aggregate(summed: Tensor, bound: CascadeParams,
     for lo, hi in _chunk_ranges(n_unique):
         rows = summed if hi - lo == n_unique else ad.gather(summed,
                                                             np.arange(lo, hi))
-        phis.append(linear(ffnn(rows, bound.ffnn_l3, drop), bound.linear_l3))
+        phis.append(linear(ffnn(rows, bound.nets["ffnn_l3"], drop),
+                           bound.nets["linear_l3"]))
     return phis[0] if len(phis) == 1 else ad.concat(phis)
 
 
@@ -439,7 +409,8 @@ def sentence_summaries(tape: Tape, q: Tensor, enc: EncodedExample,
         groups[-1].append((s, e))
         tokens += e - s
     m, w = q.value.shape[0], bound.arch.hidden_width
-    q_projected = ffnn(q, bound.ffnn_att1, drop)
+    project, compare = bound.nets["ffnn_att1"], bound.nets["ffnn_att2"]
+    q_projected = ffnn(q, project, drop)
     q_bars, g_bars = [], []
     for group in groups:
         n, sizes = len(group), [e - s for s, e in group]
@@ -448,13 +419,13 @@ def sentence_summaries(tape: Tape, q: Tensor, enc: EncodedExample,
             stats.attention_calls += n
         att1, att2_q, att2_g = _attention_masks(drop, sizes, m, w)
         g = tape.constant(np.concatenate([enc.doc_embed[s:e] for s, e in group]))
-        g_projected = ffnn(g, bound.ffnn_att1, masks=att1)
+        g_projected = ffnn(g, project, masks=att1)
         eta = ad.matmul(q_projected, ad.transpose(g_projected))  # (m, N)
         q_att = ad.segment_matmul(ad.segment_softmax(eta, starts), g, starts)
         g_att = ad.matmul(ad.transpose(ad.softmax(eta, axis=0)), q)  # (N, e)
         q_rows = ad.hstack([tape.constant(np.tile(q.value, (n, 1))), q_att])
-        q_cmp = ffnn(q_rows, bound.ffnn_att2, masks=att2_q)  # (n * m, w)
-        g_cmp = ffnn(ad.hstack([g, g_att]), bound.ffnn_att2, masks=att2_g)
+        q_cmp = ffnn(q_rows, compare, masks=att2_q)  # (n * m, w)
+        g_cmp = ffnn(ad.hstack([g, g_att]), compare, masks=att2_g)
         q_bars.append(ad.segment_sum(q_cmp, np.repeat(np.arange(n), m), n))
         g_bars.append(ad.segment_sum(g_cmp, np.repeat(np.arange(n), sizes), n))
     return ad.concat(q_bars), ad.concat(g_bars)
@@ -517,13 +488,13 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
                 columns = hidden_states + [ad.gather(bar, rows) for bar in bars]
             else:
                 mentions = ffnn(ad.hstack([hidden_states[-1], gamma_col]),
-                                bound.ffnn_agg, drop)
+                                bound.nets["ffnn_agg"], drop)
                 summed = ad.segment_sum(mentions, enc.span_unique[lo:hi],
                                         enc.n_unique, into=summed)
                 continue
             h, phi = submodel(columns + [gamma_col],
-                              getattr(bound, "ffnn_" + level.net),
-                              getattr(bound, "linear_" + level.net), drop)
+                              bound.nets["ffnn_" + level.net],
+                              bound.nets["linear_" + level.net], drop)
             hidden_states.append(h)
             parts[level.name].append(phi)
 

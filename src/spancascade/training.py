@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import corpus
 from .autodiff import DropoutState, Tape
-from .corpus import build_candidates
 from .errors import (
     ContractError,
     NoTrainableDataError,
@@ -106,14 +106,14 @@ class TrainConfig:
     learning_rate: float = 0.05
     accumulator_init: float = 0.1
     hidden_width: int = 300
-    span_limit: int = 5
+    span_limit: int = corpus.DEFAULT_SPAN_LIMIT
     context_size: int = 1
     weights: LossWeights = None  # None: the ablation's weights
     ablation: str = "full"
     instance_mode: str = "wiki"
-    max_tokens: int = 6000
-    max_sentences: int = 1000
-    max_sentence_len: int = 50
+    max_tokens: int = corpus.DEFAULT_MAX_TOKENS
+    max_sentences: int = corpus.DEFAULT_MAX_SENTENCES
+    max_sentence_len: int = corpus.DEFAULT_MAX_SENTENCE_LEN
 
     def __post_init__(self):
         if self.weights is None:
@@ -305,7 +305,7 @@ def prepare_examples(examples, table, arch: Architecture) -> list:
     """Encode every example once; None for examples without candidates."""
     prepared = []
     for example in examples:
-        cands = build_candidates(example, arch.span_limit)
+        cands = corpus.build_candidates(example, arch.span_limit)
         prepared.append(encode_example(example, cands, table, arch)
                         if cands.spans else None)
     return prepared

@@ -246,13 +246,13 @@ def _predict_prelt(tmp_path, embeddings_path, checkpoint):
 
 
 def _nan_entry(params):
-    params.ffnn_qs.V[0, 0] = float("nan")
+    params.nets["ffnn_qs"].V[0, 0] = float("nan")
 
 
 def _overflow(params):
     # every first-layer unit is ~1e300, so the second layer overflows
-    params.ffnn_qs.a[:] = 1e300
-    params.ffnn_qs.U[:] = 1e300
+    params.nets["ffnn_qs"].a[:] = 1e300
+    params.nets["ffnn_qs"].U[:] = 1e300
 
 
 @pytest.mark.parametrize("edit, code, message", [

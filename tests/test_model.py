@@ -53,7 +53,7 @@ def test_question_vector_uniform_weights_give_mean():
     tape = ad.Tape()
     params = mdl.CascadeParams.initialize(ARCH, 1)
     # zero heads force equal logits
-    params.linear_q.w[:] = 0.0
+    params.nets["linear_q"].w[:] = 0.0
     bound = params.bind(tape)
     out = mdl.question_vector(tape.constant(q), bound)
     np.testing.assert_allclose(out.value, q.mean(axis=0), rtol=1e-12)
@@ -88,8 +88,8 @@ def test_question_span_columns_rebuild_phi1(toy):
     span_avg, _, _ = enc.span_features(0, enc.n_spans)
     x = np.hstack([span_avg, gamma,
                    np.tile(q_tilde, (enc.n_spans, 1)), gamma])
-    h = ad.ffnn(tape.constant(x), bound.ffnn_qs)
-    phi1 = ad.linear(h, bound.linear_qs).value
+    h = ad.ffnn(tape.constant(x), bound.nets["ffnn_qs"])
+    phi1 = ad.linear(h, bound.nets["linear_qs"]).value
     np.testing.assert_allclose(phi1, scores.phi1.value, rtol=0, atol=1e-12)
 
 
@@ -119,6 +119,18 @@ def test_encode_context_is_adjacent_token_for_k1(toy):
     _, ctx_left, _ = enc.span_features(0, enc.n_spans)
     np.testing.assert_allclose(ctx_left[idx], table.lookup(left_tok),
                                rtol=1e-12)
+
+
+def test_forward_keeps_nothing_on_the_encoded_example(toy):
+    """A one-chunk pass, recording or not, adds no state to the example."""
+    example, table, cands, _, params = toy
+    enc = mdl.encode_example(example, cands, table, ARCH)
+    assert len(mdl._chunk_ranges(enc.n_spans)) == 1
+    before = dict(vars(enc))
+    run_tape(params, enc)
+    mdl.score_example(params, enc)
+    assert list(vars(enc)) == list(before)
+    assert all(vars(enc)[key] is value for key, value in before.items())
 
 
 def test_encode_gamma_is_binary_and_reflects_overlap(toy):
@@ -182,22 +194,21 @@ def test_forward_deterministic_bitwise(toy):
 def oracle_attention(q, q_projected, g, bound, drop=None):
     """Attend/compare between the question and one sentence, as a loop over
     sentences ran it: the oracle for the grouped pass."""
-    g_projected = ad.ffnn(g, bound.ffnn_att1, drop)
+    g_projected = ad.ffnn(g, bound.nets["ffnn_att1"], drop)
     eta = ad.matmul(q_projected, ad.transpose(g_projected))  # (m, G)
     align_q = ad.softmax(eta, axis=1)  # each question token over the sentence
     align_g = ad.softmax(eta, axis=0)  # each sentence token over the question
     q_attended = ad.matmul(align_q, g)               # (m, e)
     g_attended = ad.matmul(ad.transpose(align_g), q)  # (G, e)
-    q_bar = ad.sum_rows(ad.ffnn(ad.hstack([q, q_attended]), bound.ffnn_att2,
-                                drop))
-    g_bar = ad.sum_rows(ad.ffnn(ad.hstack([g, g_attended]), bound.ffnn_att2,
-                                drop))
+    att2 = bound.nets["ffnn_att2"]
+    q_bar = ad.sum_rows(ad.ffnn(ad.hstack([q, q_attended]), att2, drop))
+    g_bar = ad.sum_rows(ad.ffnn(ad.hstack([g, g_attended]), att2, drop))
     return q_bar, g_bar
 
 
 def oracle_summaries(tape, q_const, enc, bound, drop=None):
     """``sentence_summaries`` by the oracle, one sentence at a time."""
-    q_projected = ad.ffnn(q_const, bound.ffnn_att1, drop)
+    q_projected = ad.ffnn(q_const, bound.nets["ffnn_att1"], drop)
     pairs = [oracle_attention(q_const, q_projected,
                               tape.constant(enc.doc_embed[s:e]), bound, drop)
              for s, e in enc.sentence_ranges]
@@ -240,7 +251,8 @@ def test_attention_singleton_alignment_is_one():
     bound = mdl.CascadeParams.initialize(ARCH, 0).bind(tape)
     for j, g in enumerate(sentences):
         for bar, pair in ((q_bar, [q, g]), (g_bar, [g, q])):
-            compared = ad.ffnn(tape.constant(np.hstack(pair)), bound.ffnn_att2)
+            compared = ad.ffnn(tape.constant(np.hstack(pair)),
+                               bound.nets["ffnn_att2"])
             np.testing.assert_allclose(bar[j], compared.value[0], rtol=0,
                                        atol=1e-12)
 
@@ -326,7 +338,8 @@ def test_level2_same_inputs_same_score():
     gb = np.repeat(rng.normal(size=(1, 8)), 2, axis=0)
     gamma = np.ones((2, 1))
     columns = [tape.constant(x) for x in (h, h, qb, gb, gamma)]
-    _, phi3 = mdl.submodel(columns, bound.ffnn_l2, bound.linear_l2)
+    _, phi3 = mdl.submodel(columns, bound.nets["ffnn_l2"],
+                           bound.nets["linear_l2"])
     assert phi3.value[0] == phi3.value[1]
 
 
@@ -648,8 +661,8 @@ def test_combined_level1_wiring(toy):
     example, table, _, _, _ = toy
     arch = mdl.Architecture(embed_dim=8, hidden_width=8, combined_level1=True)
     params = mdl.CascadeParams.initialize(arch, 0)
-    assert params.ffnn_qs is None and params.ffnn_c is None
-    assert params.ffnn_comb is not None
+    assert "ffnn_qs" not in params.nets and "ffnn_c" not in params.nets
+    assert "ffnn_comb" in params.nets
     cands = build_candidates(example, arch.span_limit)
     enc = mdl.encode_example(example, cands, table, arch)
     scores = mdl.score_example(params, enc)
@@ -764,19 +777,27 @@ FULL_TENSOR_NAMES = [
 ]
 
 
-@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
-def test_parameter_layout(ablation):
-    arch = TrainConfig(ablation=ablation, hidden_width=8).arch(8)
+@pytest.mark.parametrize("wiring", list(WIRINGS))
+def test_parameter_layout(wiring):
+    arch = WIRINGS[wiring]
     params = mdl.CascadeParams.initialize(arch, 0)
+    dims = list(mdl.CascadeParams._submodel_dims(arch))
+    submodels = ([name for name in dims if name.startswith("ffnn")]
+                 + [name for name in dims if name.startswith("linear")])
+    assert list(params.nets) == submodels
     arrays = params.as_dict()
     named = [(name, arr.tobytes()) for name, arr in params.named_arrays()]
     names = list(arrays)
-    if ablation == "full":
+    if wiring == "full":
         assert names == FULL_TENSOR_NAMES
+    if wiring == "level1_both_only":
+        assert submodels == ["ffnn_q", "ffnn_qs", "ffnn_c",
+                             "linear_q", "linear_qs", "linear_c"]
     rebuilt = mdl.CascadeParams.from_arrays(arch, 0, arrays)
     assert [(n, a.tobytes()) for n, a in rebuilt.named_arrays()] == named
     tape = ad.Tape()
     bound = params.bind(tape)
+    assert list(rebuilt.nets) == list(bound.nets) == submodels
     assert list(tape.variables) == names
     assert [(n, t.value.tobytes()) for n, t in bound.named_arrays()] == named
     with pytest.raises(CheckpointError, match="'ffnn_x.V' is not part"):
