@@ -11,7 +11,7 @@ import numpy as np
 
 from spancascade import model, synth, training
 from spancascade.corpus import build_candidates, tokenize, truncate
-from spancascade.evaluation import normalize_answer
+from spancascade.evaluation import normalize_answer, rank_candidates
 
 
 def main():
@@ -53,9 +53,12 @@ def main():
     for level, p in dists.items():
         print(f"  {level}: distribution over {p.shape[0]} candidates, "
               f"sum = {p.sum():.15f}")
-    pred = model.predict(scores, enc)
-    print(f"\nuntrained argmax prediction: {pred.text!r} "
-          f"(score {pred.score:+.4f}, {pred.mention_count} mentions)")
+    scored = model.scored_example(params, example, enc)
+    best = rank_candidates(scored)[0]
+    print(f"\nuntrained top-ranked answer: {scored.candidates[best]!r} "
+          f"(score {scored.scores[best]:+.4f}, "
+          f"{scored.mention_counts[best]} mentions); gold ids "
+          f"{scored.gold_ids}")
 
 
 if __name__ == "__main__":

@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import QAExample, build_candidates, tokenize
+from .corpus import QAExample, tokenize
 from .embeddings import random_table
 from .errors import ContractError, UsageError
 from .model import (
     Architecture,
     CascadeParams,
     ForwardStats,
-    encode_example,
+    prepare_example,
     score_example,
 )
 
@@ -243,8 +243,7 @@ def run_benchmark(lengths, reps: int = 5,
     result = BenchResult(reps=reps)
     for n in lengths:
         example = synthetic_example(n, seed=seed)
-        cands = build_candidates(example, arch.span_limit)
-        enc = encode_example(example, cands, table, arch)
+        enc = prepare_example(example, table, arch)
         stats = ForwardStats()
         peak_mb = _peak_mb(lambda: score_example(params, enc, stats=stats))
         cascade_s = _median_time(lambda: score_example(params, enc), reps)

@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from . import corpus
 from . import synth
 from .autodiff import Tape, finite_difference_check
-from .corpus import QAExample, build_candidates, load_examples, tokenize, truncate
+from .corpus import QAExample, load_examples, tokenize, truncate
 from .embeddings import load_embeddings
 from .errors import (
     CheckpointError,
@@ -32,13 +32,13 @@ from .errors import (
     UsageError,
     open_text,
 )
-from .evaluation import evaluate
+from .evaluation import evaluate, rank_candidates
 from .model import (
     CascadeParams,
-    encode_example,
     forward_cascade,
     load_checkpoint,
     make_scorer,
+    prepare_example,
 )
 
 EXIT_OK = 0
@@ -176,7 +176,7 @@ def cmd_predict(args) -> int:
     if not scored.candidates:
         print("unanswerable: no candidate spans after truncation")
         return EXIT_UNANSWERABLE
-    best = int(np.argmax(scored.scores))
+    best = rank_candidates(scored)[0]
     print(f"answer: {scored.candidates[best]}")
     print(f"score: {scored.scores[best]:.6f}")
     print(f"mentions: {int(scored.mention_counts[best])}")
@@ -209,8 +209,7 @@ def cmd_gradcheck(args) -> int:
                          seed=args.seed)
     arch = config.arch(table.dimension)
     params = CascadeParams.initialize(arch, args.seed)
-    cands = build_candidates(example, arch.span_limit)
-    enc = encode_example(example, cands, table, arch)
+    enc = prepare_example(example, table, arch)
     _echo_config({
         "seed": args.seed, "table_seed": args.table_seed,
         "embed_dim": args.dim, "hidden_width": args.hidden,

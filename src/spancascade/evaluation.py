@@ -4,7 +4,8 @@ Metrics compare a predicted string against a set of answer aliases after
 normalization (lowercase, punctuation stripped, articles removed,
 whitespace collapsed). F1 uses token multisets and takes the best alias.
 ``evaluate`` consumes a scorer callable so it stays independent of any
-particular model: the scorer maps an example to ranked unique candidates.
+particular model: the scorer maps an example to a ``ScoredExample`` that
+carries the gold ids, and the head of ``rank_candidates`` is the answer.
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ class ScoredExample:
     candidates: list          # unique-candidate surface texts
     scores: np.ndarray        # prediction-level score per candidate
     mention_counts: np.ndarray
+    gold_ids: list | None = None  # alias-matching candidates; None: derive
+
+    def __post_init__(self):
+        if self.gold_ids is None:
+            self.gold_ids = gold_indices(self.candidates, self.aliases)
 
 
 @dataclass
@@ -174,13 +180,11 @@ def evaluate(scorer, examples, k_max: int = 5) -> EvalReport:
     """Score every example and aggregate EM, F1, top-k and histograms.
 
     ``scorer(example) -> ScoredExample`` supplies unique candidates with
-    prediction-level scores and per-candidate mention counts. Examples
+    prediction-level scores, mention counts and gold ids. Examples
     with no candidates count as wrong (EM = F1 = 0). Top-1 accuracy equals
     EM by construction. The gold frequency of an example is the total
-    mention count of its alias-matching candidates.
+    mention count of its gold candidates. ``examples`` may be any iterable.
     """
-    if not examples:
-        raise ContractError("evaluate needs a non-empty example list")
     if k_max < 1:
         raise ContractError(f"k_max must be >= 1, got {k_max}")
     records = []
@@ -191,9 +195,8 @@ def evaluate(scorer, examples, k_max: int = 5) -> EvalReport:
     for example in examples:
         scored = scorer(example)
         aliases = scored.aliases
-        gold_idx = gold_indices(scored.candidates, aliases)
-        gold_freq = int(sum(scored.mention_counts[i] for i in gold_idx))
-        if gold_idx:
+        gold_freq = int(sum(scored.mention_counts[i] for i in scored.gold_ids))
+        if scored.gold_ids:
             oracle_hits += 1
             gold_hist[frequency_bucket(gold_freq)] += 1
         if not scored.candidates:
@@ -209,7 +212,7 @@ def evaluate(scorer, examples, k_max: int = 5) -> EvalReport:
         f1 = token_f1(prediction, aliases)
         # the rule is symmetric: the first alias the prediction matches
         matched = aliases[gold_indices(aliases, [prediction])[0]] if em else None
-        gold_set = set(gold_idx)
+        gold_set = set(scored.gold_ids)
         first_hit = next(
             (rank for rank, i in enumerate(order) if i in gold_set), None
         )
@@ -229,6 +232,8 @@ def evaluate(scorer, examples, k_max: int = 5) -> EvalReport:
             )
         )
     total = len(records)
+    if not total:
+        raise ContractError("evaluate needs a non-empty example list")
     return EvalReport(
         em=sum(r.em for r in records) / total,
         f1=sum(r.f1 for r in records) / total,

@@ -554,7 +554,8 @@ class Prediction:
 def predict(scores: CascadeScores, enc: EncodedExample) -> Prediction | None:
     """Argmax unique candidate; ties break to the earliest candidate.
 
-    Returns None when the example has no candidates (unanswerable).
+    Returns None without candidates. Answers come from ``rank_candidates``;
+    the benchmark's training replica checks each ``train_em`` against this.
     """
     if enc.n_unique == 0:
         return None
@@ -588,20 +589,33 @@ def score_example(params: CascadeParams, enc: EncodedExample,
     return scores
 
 
+def scored_example(params: CascadeParams, example: QAExample,
+                   enc: EncodedExample | None) -> ScoredExample:
+    """The evaluator's result for an encoded example, with the gold ids
+    that candidate building marked; ``enc`` is None without candidates."""
+    if enc is None:
+        return ScoredExample(example.example_id, list(example.answers), [],
+                             np.zeros(0), np.zeros(0, dtype=np.intp), [])
+    return ScoredExample(example.example_id, list(example.answers),
+                         enc.unique_surfaces,
+                         prediction_scores(score_example(params, enc), enc),
+                         enc.mention_counts, enc.gold_uniques.tolist())
+
+
+def prepare_example(example: QAExample, table: EmbeddingTable,
+                    arch: Architecture) -> EncodedExample | None:
+    """Build candidates and encode them; None for an example without any."""
+    cands = build_candidates(example, arch.span_limit)
+    return encode_example(example, cands, table, arch) if cands.spans else None
+
+
 def make_scorer(params: CascadeParams, table: EmbeddingTable):
     """Wrap params+table into the callable the evaluator consumes."""
     arch = params.arch
 
     def scorer(example: QAExample) -> ScoredExample:
-        cands = build_candidates(example, arch.span_limit)
-        if not cands.spans:
-            return ScoredExample(example.example_id, list(example.answers),
-                                 [], np.zeros(0), np.zeros(0, dtype=np.intp))
-        enc = encode_example(example, cands, table, arch)
-        scores = score_example(params, enc)
-        return ScoredExample(example.example_id, list(example.answers),
-                             enc.unique_surfaces,
-                             prediction_scores(scores, enc), enc.mention_counts)
+        return scored_example(params, example,
+                              prepare_example(example, table, arch))
 
     return scorer
 

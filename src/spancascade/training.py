@@ -29,17 +29,16 @@ from .errors import (
     UsageError,
     open_text,
 )
-from .evaluation import exact_match
+from .evaluation import evaluate
 from .model import (
     LEVELS,
     Architecture,
     CascadeParams,
     CascadeScores,
-    encode_example,
     forward_cascade,
-    predict,
+    prepare_example,
     save_checkpoint,
-    score_example,
+    scored_example,
 )
 
 
@@ -301,43 +300,22 @@ class TrainResult:
     skipped: int
 
 
-def prepare_examples(examples, table, arch: Architecture) -> list:
-    """Encode every example once; None for examples without candidates."""
-    prepared = []
-    for example in examples:
-        cands = corpus.build_candidates(example, arch.span_limit)
-        prepared.append(encode_example(example, cands, table, arch)
-                        if cands.spans else None)
-    return prepared
-
-
-def _train_em(params, prepared, examples) -> float:
-    hits = 0
-    for example, enc in zip(examples, prepared):
-        if enc is None:
-            continue
-        pred = predict(score_example(params, enc), enc)
-        if pred is not None and exact_match(pred.text, example.answers):
-            hits += 1
-    return hits / len(examples)
-
-
 def train(examples, config: TrainConfig, table, out_dir=None,
           log=None) -> TrainResult:
     """Seeded single-example Adagrad over the multi-level objective.
 
     Examples are encoded once up front and visited in a freshly shuffled
-    order each epoch. Per-epoch metrics (mean loss, train EM) are appended
-    to ``metrics.jsonl`` and a checkpoint is written per epoch when
-    ``out_dir`` is given; all randomness derives from ``config.seed`` so
-    identical inputs give byte-identical checkpoints.
+    order each epoch. Per-epoch metrics (mean loss, and ``evaluate``'s EM
+    over the training set) go to ``metrics.jsonl`` and a checkpoint is written
+    per epoch when ``out_dir`` is given; all randomness derives from
+    ``config.seed`` so identical inputs give byte-identical checkpoints.
     """
     config.validate()
     if not examples:
         raise NoTrainableDataError("empty training corpus")
     arch = config.arch(table.dimension)
     params = CascadeParams.initialize(arch, config.seed)
-    prepared = prepare_examples(examples, table, arch)
+    prepared = [prepare_example(ex, table, arch) for ex in examples]
     # an example has gold spans exactly when it has gold uniques
     trainable = [i for i, enc in enumerate(prepared)
                  if enc is not None and enc.gold_spans.size > 0]
@@ -378,11 +356,13 @@ def train(examples, config: TrainConfig, table, out_dir=None,
                 grads = tape.backward(loss)
                 adagrad_step(params.named_arrays(), grads, state)
             losses.append(float(loss.value))
-        em = _train_em(params, prepared, examples)
+        report = evaluate(
+            lambda i: scored_example(params, examples[i], prepared[i]),
+            range(len(examples)))
         entry = EpochMetrics(
             epoch=epoch + 1,
             mean_loss=float(np.mean(losses)),
-            train_em=em,
+            train_em=report.em,
             steps=len(losses),
             skipped=skipped,
         )

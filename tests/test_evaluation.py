@@ -1,10 +1,16 @@
 """Metrics: normalization, EM, token F1, top-k, histograms."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_corpus import gold_tokens
 
+from spancascade.corpus import Document, QAExample
+from spancascade.embeddings import random_table
 from spancascade.errors import ContractError
 from spancascade.evaluation import (
     EvalReport,
@@ -16,6 +22,7 @@ from spancascade.evaluation import (
     normalize_answer,
     token_f1,
 )
+from spancascade.model import Architecture, CascadeParams, make_scorer
 
 ALIASES = ["Jackson Pollock", "Pollock", "Pollock, Jackson"]
 
@@ -186,6 +193,58 @@ def test_evaluate_validates_inputs():
         evaluate(lambda e: None, [], k_max=1)
     with pytest.raises(ContractError):
         evaluate(lambda e: None, ["x"], k_max=0)
+
+
+def test_evaluate_consumes_any_iterable():
+    def scorer(ex):
+        return _scored(ex, ["gold"], ["gold", "noise"], [1.0, 2.0], [1, 1])
+
+    ids = ["e1", "e2", "e3"]
+    assert (evaluate(scorer, (i for i in ids), k_max=2).to_json()
+            == evaluate(scorer, ids, k_max=2).to_json())
+    with pytest.raises(ContractError, match="non-empty"):
+        evaluate(lambda e: None, iter([]))
+
+
+def test_evaluate_reads_the_gold_ids_it_is_given():
+    scored = _scored("e1", ALIASES, ["Krasner", "pollock", "the"], [0, 1, 0],
+                     [1, 2, 1])
+    assert scored.gold_ids == [1]  # derived when not given
+    # supplied ids are not checked again; EM stays exact_match of the answer
+    given_ids = dataclasses.replace(scored, gold_ids=[0])
+    report = evaluate(lambda e: given_ids, ["e1"], k_max=2)
+    assert report.em == 1.0 and report.top_k_accuracy == [(1, 0.0), (2, 1.0)]
+    assert report.records[0].gold_frequency == 1
+
+
+MODEL = CascadeParams.initialize(Architecture(embed_dim=8, hidden_width=8), 0)
+TABLE = random_table(["pollock"], 8, seed=0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(docs=st.lists(st.tuples(st.lists(gold_tokens, max_size=12),
+                               st.lists(st.lists(gold_tokens, min_size=1,
+                                                 max_size=3).map(" ".join),
+                                        max_size=2),
+                               st.integers(0, 12)),
+                     min_size=1, max_size=4))
+def test_model_results_carry_the_gold_rule_ids(docs):
+    """The scorer's gold ids are the gold rule's, and a report is the same
+    whether evaluate reads them or results rebuilt without them derive
+    their own."""
+    examples = []
+    for i, (tokens, answers, window) in enumerate(docs):
+        doc = Document(tokens, [(0, len(tokens))] if tokens else [])
+        # an alias from the document itself, so that some examples have gold
+        answers = answers + [" ".join(tokens[window:window + 2]).swapcase()]
+        examples.append(QAExample(f"e{i}", ["who"], [doc], answers))
+    results = [make_scorer(MODEL, TABLE)(ex) for ex in examples]
+    for scored in results:
+        assert scored.gold_ids == gold_indices(scored.candidates,
+                                               scored.aliases)
+    rebuilt = [dataclasses.replace(r, gold_ids=None) for r in results]
+    assert (evaluate(lambda i: results[i], range(len(results))).to_json()
+            == evaluate(lambda i: rebuilt[i], range(len(rebuilt))).to_json())
 
 
 def test_report_json_and_csvs(tmp_path):

@@ -332,6 +332,23 @@ def test_train_em_reported(tiny_corpus):
     assert result.metrics[0].steps == len(train_ex)
 
 
+def test_train_em_is_evaluate_em_over_the_training_set(tiny_corpus):
+    from spancascade.corpus import QAExample, tokenize
+    from spancascade.evaluation import evaluate
+
+    train_ex, _, table = tiny_corpus
+    # one example without candidates and one without gold: both are skipped
+    # by the optimizer but count in the EM denominator
+    examples = train_ex + [
+        QAExample("empty", ["who"], [tokenize("")], ["zarek"]),
+        QAExample("nogold", ["who"], [tokenize("alpha beta .")], ["zzz"])]
+    result = train(examples, TrainConfig(epochs=2, hidden_width=8, seed=1),
+                   table)
+    assert result.skipped == 2
+    report = evaluate(mdl.make_scorer(result.params, table), examples)
+    assert result.metrics[-1].train_em == report.em
+
+
 def test_training_step_tape_is_freed_without_cyclic_gc():
     example, table = synth.gradcheck_instance(embed_dim=8, seed=13)
     config = TrainConfig(hidden_width=8, dropout=0.2)
