@@ -122,8 +122,11 @@ def load_embeddings(source, dimension: int, seed: int = 0) -> EmbeddingTable:
     of text lines such as an open text stream. Duplicate tokens keep their
     first occurrence; malformed lines, including nan or infinite values,
     raise ParseError with the line number; zero-norm vectors raise
-    DataError.
+    DataError. A dimension below 1 raises ContractError before any line
+    is read.
     """
+    if dimension < 1:
+        raise ContractError(f"dimension must be positive, got {dimension}")
     if isinstance(source, (str, os.PathLike)):
         with open_text(source) as fh:
             return load_embeddings(fh, dimension, seed)

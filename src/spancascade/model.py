@@ -52,44 +52,43 @@ from .evaluation import ScoredExample
 CHECKPOINT_MAGIC = b"SPANCASCADE-CKPT-v1\n"
 
 
+# wiring name -> the levels it runs, in LEVELS order; every wiring has one
+# level at its highest stage, whose scores give the answer
+WIRINGS = {
+    "full": ("phi1", "phi2", "phi3", "phi4"),
+    "combined_level1": ("phi_comb", "phi3", "phi4"),
+    "level12_only": ("phi1", "phi2", "phi3"),
+    "level1_qs_only": ("phi1",),
+    "level1_sc_only": ("phi2",),
+}
+
+
 @dataclass(frozen=True)
 class Architecture:
-    """Dimensions and level wiring of the cascade."""
+    """Dimensions of the cascade and its wiring, a key of ``WIRINGS``."""
 
     embed_dim: int
     hidden_width: int = 300
     span_limit: int = DEFAULT_SPAN_LIMIT
     context_size: int = 1
-    level1_mode: str = "both"    # both | qs | sc
-    use_level2: bool = True
-    use_level3: bool = True
-    combined_level1: bool = False
+    wiring: str = "full"
 
     def __post_init__(self):
-        if self.embed_dim < 1 or self.hidden_width < 1:
-            raise ContractError("embed_dim and hidden_width must be positive")
-        if self.span_limit < 1 or self.context_size < 1:
-            raise ContractError("span_limit and context_size must be positive")
-        if self.level1_mode not in ("both", "qs", "sc"):
-            raise ContractError(f"bad level1_mode {self.level1_mode!r}")
-        if self.combined_level1 and self.level1_mode != "both":
-            raise ContractError("combined_level1 uses both level-1 inputs")
-        if self.use_level3 and not self.use_level2:
-            raise ContractError("level 3 requires level 2 (no documented wiring "
-                                "feeds aggregation from level 1 directly)")
-
-    @property
-    def m1_active(self) -> bool:
-        return not self.combined_level1 and self.level1_mode in ("both", "qs")
-
-    @property
-    def m2_active(self) -> bool:
-        return not self.combined_level1 and self.level1_mode in ("both", "sc")
+        for name in ("embed_dim", "hidden_width", "span_limit",
+                     "context_size"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # a bool is not an int
+                raise ContractError(
+                    f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.wiring, str) or self.wiring not in WIRINGS:
+            raise ContractError(f"unknown wiring {self.wiring!r}; valid "
+                                f"names: {', '.join(WIRINGS)}")
 
     @property
     def levels(self) -> list:
-        """The rows of ``LEVELS`` this wiring turns on, in table order."""
-        return [level for level in LEVELS if getattr(self, level.switch)]
+        """The rows of ``LEVELS`` this wiring runs, in table order."""
+        names = WIRINGS[self.wiring]
+        return [level for level in LEVELS if level.name in names]
 
     @property
     def needs_question_nets(self) -> bool:
@@ -113,7 +112,7 @@ class ForwardStats:
     macs: int = 0
 
 
-Level = namedtuple("Level", "name switch stage slot net reads", defaults=((),))
+Level = namedtuple("Level", "name stage slot net reads", defaults=((),))
 
 
 def _level(*row):
@@ -124,20 +123,19 @@ def _level(*row):
 class CascadeScores:
     """Scores per level; its fields are the one table of scoring levels.
 
-    A field's ``Level`` row gives the Architecture switch that turns it on,
-    its stage (1 and 2 score spans, 3 unique candidates), its LossWeights
-    slot (no Architecture turns on both slot-0 levels), its submodel
-    ``ffnn_<net>``/``linear_<net>`` and, at stage 1, the feature blocks it
-    reads. Levels run, enter the loss and add up in field order. Entries
-    are tape Tensors in training, arrays at inference, None if inactive.
+    A field's ``Level`` row gives its stage (1 and 2 score spans, 3 unique
+    candidates), its LossWeights slot (no wiring runs both slot-0 levels),
+    its submodel ``ffnn_<net>``/``linear_<net>`` and, at stage 1, the
+    feature blocks it reads; ``WIRINGS`` lists the levels each wiring runs.
+    Levels run and enter the loss in field order. Entries are tape Tensors
+    in training, arrays at inference, None if inactive.
     """
 
-    phi1: object = _level("m1_active", 1, 0, "qs", ("question",))
-    phi2: object = _level("m2_active", 1, 1, "c", ("context",))
-    phi_comb: object = _level("combined_level1", 1, 0, "comb",
-                              ("question", "context"))
-    phi3: object = _level("use_level2", 2, 2, "l2")
-    phi4: object = _level("use_level3", 3, 3, "l3")
+    phi1: object = _level(1, 0, "qs", ("question",))
+    phi2: object = _level(1, 1, "c", ("context",))
+    phi_comb: object = _level(1, 0, "comb", ("question", "context"))
+    phi3: object = _level(2, 2, "l2")
+    phi4: object = _level(3, 3, "l3")
 
     def values(self) -> "CascadeScores":
         return CascadeScores(**{level: x.value if isinstance(x, Tensor) else x
@@ -462,9 +460,8 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
         raise EmptyCandidateError("example has no candidate spans")
     macs_before = tape.stats.macs
     q_const = q_tilde = None
-    if arch.needs_question_nets or arch.use_level2:
+    if arch.needs_question_nets:  # true of every wiring with level 2
         q_const = tape.constant(enc.question)
-    if arch.needs_question_nets:
         q_tilde = question_vector(q_const, bound, drop)
 
     parts = {level.name: [] for level in arch.levels}
@@ -525,18 +522,16 @@ def distributions(scores: CascadeScores) -> dict:
 
 
 def prediction_scores(scores: CascadeScores, enc: EncodedExample) -> np.ndarray:
-    """Per-unique-candidate scores from the highest active stage.
-
-    The stage's levels are added in table order; span scores then map to
-    unique candidates by max over mentions.
+    """Per-unique-candidate scores from the highest active level (the
+    last in table order); span scores at stages 1-2 map to unique
+    candidates by max over mentions.
     """
     active = scores.values().active()
     if not active:
         raise ContractError("no active scoring level")
-    top = max(level.stage for level, _ in active)
-    phis = [np.asarray(phi) for level, phi in active if level.stage == top]
-    phi = sum(phis[1:], phis[0])
-    if top == 3:
+    level, phi = active[-1]
+    phi = np.asarray(phi)
+    if level.stage == 3:
         return phi
     out = np.full(enc.n_unique, -np.inf)
     np.fmax.at(out, enc.span_unique, phi)
@@ -631,7 +626,7 @@ def save_checkpoint(path, params: CascadeParams):
     """Write a versioned checkpoint; the write is atomic (temp + rename)."""
     named = params.named_arrays()
     header = {
-        "format_version": 1,
+        "format_version": 2,
         "arch": params.arch.to_dict(),
         "seed": params.seed,
         "tensors": [
@@ -673,11 +668,14 @@ def load_checkpoint(path) -> CascadeParams:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt header: {exc}") from None
         version = header.get("format_version") if isinstance(header, dict) else None
-        if version != 1:
+        if version != 2:
             raise CheckpointError(f"{path}: unsupported format version {version}")
         try:
             arch = Architecture(**header["arch"])
-            seed = int(header["seed"])
+            seed = header["seed"]
+            if type(seed) is not int or seed < 0:
+                raise ValueError(f"seed must be a non-negative integer, "
+                                 f"got {seed!r}")
             specs = [(str(spec["name"]), tuple(spec["shape"]))
                      for spec in header["tensors"]]
         except (KeyError, TypeError, ValueError, OverflowError,

@@ -69,25 +69,22 @@ class LossWeights:
 LAMBDA_KEYS = tuple(f"lambda{slot + 1}"
                     for slot in sorted({level.slot for level in LEVELS}))
 
-# name -> (Architecture wiring, default loss weights). "full" keeps every
+# name -> (model.WIRINGS name, default loss weights). "full" keeps every
 # level; "single_loss" trains only the aggregation level's objective;
 # "combined_level1" merges the two level-1 submodels into one net over span,
 # question and context; "level12_only" drops aggregation (prediction falls
 # back to span scores maxed over mentions); the "level1_*_only" variants keep
 # a single level-1 submodel and predict from its scores.
 ABLATIONS = {
-    "full": ({}, LossWeights()),
-    "single_loss": ({}, LossWeights(0.0, 0.0, 0.0, 1.0)),
+    "full": ("full", LossWeights()),
+    "single_loss": ("full", LossWeights(0.0, 0.0, 0.0, 1.0)),
     # the combined head absorbs both level-1 coefficients
-    "combined_level1": ({"combined_level1": True},
-                        LossWeights(0.7, 0.0, 0.2, 0.1)),
+    "combined_level1": ("combined_level1", LossWeights(0.7, 0.0, 0.2, 0.1)),
     # remaining coefficients renormalized proportionally
-    "level12_only": ({"use_level3": False},
+    "level12_only": ("level12_only",
                      LossWeights(0.35 / 0.9, 0.35 / 0.9, 0.2 / 0.9, 0.0)),
-    "level1_qs_only": ({"level1_mode": "qs", "use_level2": False,
-                        "use_level3": False}, LossWeights(1.0, 0.0, 0.0, 0.0)),
-    "level1_sc_only": ({"level1_mode": "sc", "use_level2": False,
-                        "use_level3": False}, LossWeights(0.0, 1.0, 0.0, 0.0)),
+    "level1_qs_only": ("level1_qs_only", LossWeights(1.0, 0.0, 0.0, 0.0)),
+    "level1_sc_only": ("level1_sc_only", LossWeights(0.0, 1.0, 0.0, 0.0)),
 }
 
 
@@ -142,7 +139,7 @@ class TrainConfig:
             hidden_width=self.hidden_width,
             span_limit=self.span_limit,
             context_size=self.context_size,
-            **_ablation(self.ablation)[0],
+            wiring=_ablation(self.ablation)[0],
         )
 
     def as_flat_dict(self) -> dict:

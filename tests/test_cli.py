@@ -32,6 +32,15 @@ def test_train_missing_embeddings_names_path(tmp_path, corpus_path, capsys):
     assert missing in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_train_non_positive_dim_is_usage_error(tmp_path, corpus_path,
+                                               embeddings_path, dim, capsys):
+    code = main(["train", "--data", corpus_path, "--embeddings",
+                 embeddings_path, "--dim", dim, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert f"dimension must be positive, got {dim}" in capsys.readouterr().err
+
+
 def test_train_unknown_config_key(corpus_path, embeddings_path, tmp_path,
                                   capsys):
     code = main(["train", "--data", corpus_path, "--embeddings",
@@ -75,9 +84,11 @@ def test_train_ablation_resolves_weights(tmp_path, corpus_path,
     assert "lambda4 = 1.0" in out and "lambda1 = 0.0" in out
 
 
+# former wiring flags, and Architecture's ``wiring``, which only
+# ``ablation`` sets
 @pytest.mark.parametrize("key", [
     "single_loss", "drop_level2", "drop_level3", "combined_level1",
-    "level1_mode",
+    "wiring",
 ])
 def test_train_removed_wiring_key_is_usage_error(tmp_path, corpus_path,
                                                  embeddings_path, key, capsys):
@@ -213,27 +224,51 @@ def _ffnn_qs_v_shape(shape_of):
     return change
 
 
-@pytest.mark.parametrize("change", [
-    lambda h: {**h, "arch": {**h["arch"], "not_a_field": 1}},
-    lambda h: {k: v for k, v in h.items() if k != "seed"},
-    _ffnn_qs_v_shape(lambda s: s[::-1]),
-    lambda h: [h],
-    _ffnn_qs_v_shape(lambda s: [-3]),
-    _ffnn_qs_v_shape(lambda s: [10**12]),
-    _ffnn_qs_v_shape(lambda s: [10**20]),
+def _arch_field(name, value):
+    """A header change that sets the architecture field ``name``."""
+    return lambda h: {**h, "arch": {**h["arch"], name: value}}
+
+
+@pytest.mark.parametrize("change, message", [
+    (_arch_field("not_a_field", 1), "not_a_field"),
+    (lambda h: {k: v for k, v in h.items() if k != "seed"}, "'seed'"),
+    (_ffnn_qs_v_shape(lambda s: s[::-1]), "'ffnn_qs.V' has shape"),
+    (lambda h: [h], "unsupported format version None"),
+    (_ffnn_qs_v_shape(lambda s: [-3]), "non-negative integers"),
+    (_ffnn_qs_v_shape(lambda s: [10**12]), "truncated tensor 'ffnn_qs.V'"),
+    (_ffnn_qs_v_shape(lambda s: [10**20]), "truncated tensor 'ffnn_qs.V'"),
     # truncating int() would read [8.7, 18] as the right shape [8, 18]
-    _ffnn_qs_v_shape(lambda s: [s[0] + 0.7] + s[1:]),
-    # level 3 switched off while its ten tensors stay listed
-    lambda h: {**h, "arch": {**h["arch"], "use_level3": False}},
+    (_ffnn_qs_v_shape(lambda s: [s[0] + 0.7] + s[1:]),
+     "non-negative integers"),
+    # level 3 turned off while its ten tensors stay listed; the first of
+    # them by name is the mention transform's
+    (_arch_field("wiring", "level12_only"),
+     "tensor 'ffnn_agg.U' is not part of the architecture"),
+    # (8, 8.0) == (8, 8), so a float dimension would pass the shape checks
+    (_arch_field("embed_dim", 8.0), "embed_dim must be a positive integer"),
+    (_arch_field("span_limit", 5.0), "span_limit must be a positive integer"),
+    (_arch_field("context_size", 1.0),
+     "context_size must be a positive integer"),
+    (_arch_field("context_size", True),
+     "context_size must be a positive integer"),
+    (lambda h: {**h, "seed": 1.7}, "seed must be a non-negative integer"),
+    (lambda h: {**h, "seed": -1}, "seed must be a non-negative integer"),
+    # the version that held four level switches where ``wiring`` is now
+    (lambda h: {**h, "format_version": 1}, "unsupported format version 1"),
 ], ids=["unknown-arch-key", "missing-seed", "transposed-tensor",
         "header-not-an-object", "negative-shape", "huge-shape",
-        "overflowing-shape", "fractional-shape", "unexpected-tensors"])
+        "overflowing-shape", "fractional-shape", "unexpected-tensors",
+        "float-embed-dim", "float-span-limit", "float-context-size",
+        "bool-context-size", "fractional-seed", "negative-seed",
+        "format-version-1"])
 def test_predict_corrupt_checkpoint_header(tmp_path, embeddings_path,
-                                           trained_dir, change, capsys):
+                                           trained_dir, change, message,
+                                           capsys):
     bad = tmp_path / "bad.ckpt"
     _rewrite_header(trained_dir / "checkpoint.ckpt", bad, change)
     assert _predict_prelt(tmp_path, embeddings_path, bad) == EXIT_IO
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
 
 
 def _predict_prelt(tmp_path, embeddings_path, checkpoint):

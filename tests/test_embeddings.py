@@ -137,6 +137,16 @@ def test_table_rejects_bad_dimension():
         EmbeddingTable({"a": np.ones(3)}, 2)
 
 
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_load_rejects_bad_dimension_before_reading(dimension):
+    def lines():
+        raise AssertionError("a line was read")
+        yield  # a generator that fails on its first line
+
+    with pytest.raises(ContractError, match=f"got {dimension}"):
+        load_embeddings(lines(), dimension)
+
+
 def test_random_table_unit_vectors():
     table = random_table(["x", "y"], 8, seed=3)
     assert abs(np.linalg.norm(table.lookup("x")) - 1.0) < 1e-9

@@ -477,12 +477,12 @@ def test_prediction_scores_fallbacks(toy):
     for uid in range(enc.n_unique):
         mask = enc.span_unique == uid
         assert by_phi3[uid] == vals.phi3[mask].max()
-    only_l1 = mdl.CascadeScores(phi1=vals.phi1, phi2=vals.phi2)
-    both = mdl.prediction_scores(only_l1, enc)
-    expected_span = vals.phi1 + vals.phi2
-    for uid in range(enc.n_unique):
-        mask = enc.span_unique == uid
-        assert both[uid] == expected_span[mask].max()
+    # a level-1 wiring answers from its one head
+    for level in ("phi1", "phi2"):
+        phi = getattr(vals, level)
+        got = mdl.prediction_scores(mdl.CascadeScores(**{level: phi}), enc)
+        for uid in range(enc.n_unique):
+            assert got[uid] == phi[enc.span_unique == uid].max()
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +659,8 @@ def test_ablation_architectures_score(toy):
 
 def test_combined_level1_wiring(toy):
     example, table, _, _, _ = toy
-    arch = mdl.Architecture(embed_dim=8, hidden_width=8, combined_level1=True)
+    arch = mdl.Architecture(embed_dim=8, hidden_width=8,
+                            wiring="combined_level1")
     params = mdl.CascadeParams.initialize(arch, 0)
     assert "ffnn_qs" not in params.nets and "ffnn_c" not in params.nets
     assert "ffnn_comb" in params.nets
@@ -670,22 +671,15 @@ def test_combined_level1_wiring(toy):
     assert scores.phi4 is not None
 
 
-# every wiring a checkpoint can carry: the six ablations, and both level-1
-# heads with nothing above them, which no ablation names
-WIRINGS = {
-    **{name: TrainConfig(ablation=name, hidden_width=8).arch(8)
-       for name in ABLATIONS},
-    "level1_both_only": mdl.Architecture(embed_dim=8, hidden_width=8,
-                                         use_level2=False, use_level3=False),
-}
+# the architecture of each ablation, and the levels of each wiring
+ARCHES = {name: TrainConfig(ablation=name, hidden_width=8).arch(8)
+          for name in ABLATIONS}
 EXPECTED_LEVELS = {
     "full": ["phi1", "phi2", "phi3", "phi4"],
-    "single_loss": ["phi1", "phi2", "phi3", "phi4"],
     "combined_level1": ["phi_comb", "phi3", "phi4"],
     "level12_only": ["phi1", "phi2", "phi3"],
     "level1_qs_only": ["phi1"],
     "level1_sc_only": ["phi2"],
-    "level1_both_only": ["phi1", "phi2"],
 }
 
 
@@ -696,15 +690,17 @@ def _score(example, table, arch):
     return mdl.score_example(params, enc), enc
 
 
-@pytest.mark.parametrize("wiring", list(WIRINGS))
-def test_level_table_names_the_scores_and_distributions(wiring, toy):
+@pytest.mark.parametrize("ablation", list(ARCHES))
+def test_level_table_names_the_scores_and_distributions(ablation, toy):
     example, table, _, _, _ = toy
-    arch = WIRINGS[wiring]
-    assert [level.name for level in arch.levels] == EXPECTED_LEVELS[wiring]
+    arch = ARCHES[ablation]
+    expected = EXPECTED_LEVELS[arch.wiring]
+    assert list(mdl.WIRINGS[arch.wiring]) == expected
+    assert [level.name for level in arch.levels] == expected
     scores, _ = _score(example, table, arch)
     held = [name for name, phi in vars(scores).items() if phi is not None]
-    assert held == EXPECTED_LEVELS[wiring]
-    assert list(mdl.distributions(scores)) == EXPECTED_LEVELS[wiring]
+    assert held == expected
+    assert list(mdl.distributions(scores)) == expected
 
 
 def test_level_table_stages_and_loss_slots():
@@ -713,23 +709,35 @@ def test_level_table_stages_and_loss_slots():
         ("phi4", 3, 3)]
 
 
-def test_unnamed_level1_wiring_predicts_from_summed_heads(toy):
-    example, table, _, _, _ = toy
-    scores, enc = _score(example, table, WIRINGS["level1_both_only"])
-    summed = scores.phi1 + scores.phi2
-    expected = np.array([summed[enc.span_unique == uid].max()
-                         for uid in range(enc.n_unique)])
-    got = mdl.prediction_scores(scores, enc)
-    assert got.tobytes() == expected.tobytes()
+def test_every_wiring_is_an_ablation_and_answers_from_one_level():
+    named = {wiring for wiring, _ in ABLATIONS.values()}
+    assert named == set(mdl.WIRINGS)  # no wiring without an ablation
+    assert set(EXPECTED_LEVELS) == set(mdl.WIRINGS)
+    for wiring in mdl.WIRINGS:
+        arch = mdl.Architecture(embed_dim=8, wiring=wiring)
+        stages = [level.stage for level in arch.levels]
+        # prediction_scores answers from the last level, the one at the top
+        assert stages.count(max(stages)) == 1 and stages[-1] == max(stages)
+        # forward_cascade makes level 2's question input only when
+        # the question nets run
+        assert arch.needs_question_nets or 2 not in stages
 
 
 def test_architecture_validation():
-    with pytest.raises(ContractError):
-        mdl.Architecture(embed_dim=8, use_level2=False, use_level3=True)
-    with pytest.raises(ContractError):
-        mdl.Architecture(embed_dim=8, level1_mode="nope")
-    with pytest.raises(ContractError):
-        mdl.Architecture(embed_dim=8, combined_level1=True, level1_mode="qs")
+    with pytest.raises(ContractError, match="unknown wiring 'nope'"):
+        mdl.Architecture(embed_dim=8, wiring="nope")
+    with pytest.raises(ContractError, match="unknown wiring 'single_loss'"):
+        mdl.Architecture(embed_dim=8, wiring="single_loss")  # an ablation
+    with pytest.raises(ContractError, match="unknown wiring"):
+        mdl.Architecture(embed_dim=8, wiring=["full"])  # from a JSON header
+    for name in ("embed_dim", "hidden_width", "span_limit", "context_size"):
+        for value in (0, -1, 8.0, True, np.int64(8)):
+            with pytest.raises(ContractError,
+                               match=f"{name} must be a positive integer"):
+                mdl.Architecture(**{"embed_dim": 8, name: value})
+    assert mdl.Architecture(embed_dim=8).to_dict() == {
+        "embed_dim": 8, "hidden_width": 300, "span_limit": 5,
+        "context_size": 1, "wiring": "full"}
 
 
 # ---------------------------------------------------------------------------
@@ -777,9 +785,9 @@ FULL_TENSOR_NAMES = [
 ]
 
 
-@pytest.mark.parametrize("wiring", list(WIRINGS))
-def test_parameter_layout(wiring):
-    arch = WIRINGS[wiring]
+@pytest.mark.parametrize("ablation", list(ARCHES))
+def test_parameter_layout(ablation):
+    arch = ARCHES[ablation]
     params = mdl.CascadeParams.initialize(arch, 0)
     dims = list(mdl.CascadeParams._submodel_dims(arch))
     submodels = ([name for name in dims if name.startswith("ffnn")]
@@ -788,11 +796,10 @@ def test_parameter_layout(wiring):
     arrays = params.as_dict()
     named = [(name, arr.tobytes()) for name, arr in params.named_arrays()]
     names = list(arrays)
-    if wiring == "full":
+    if ablation == "full":
         assert names == FULL_TENSOR_NAMES
-    if wiring == "level1_both_only":
-        assert submodels == ["ffnn_q", "ffnn_qs", "ffnn_c",
-                             "linear_q", "linear_qs", "linear_c"]
+    if ablation == "level1_qs_only":
+        assert submodels == ["ffnn_q", "ffnn_qs", "linear_q", "linear_qs"]
     rebuilt = mdl.CascadeParams.from_arrays(arch, 0, arrays)
     assert [(n, a.tobytes()) for n, a in rebuilt.named_arrays()] == named
     tape = ad.Tape()

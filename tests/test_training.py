@@ -95,7 +95,7 @@ def test_config_from_mapping_and_unknown_key():
     })
     assert cfg.epochs == 3 and cfg.seed == 9 and cfg.dropout == 0.2
     assert cfg.weights.as_tuple() == (0.5, 0.5, 0.0, 0.0)
-    assert not cfg.arch(8).use_level3
+    assert cfg.arch(8).wiring == "level12_only"
     # a lambda overrides only its own slot of the ablation's weights
     cfg = TrainConfig.from_mapping({"ablation": "single_loss",
                                     "lambda3": "0.5", "lambda4": "0.5"})
@@ -128,17 +128,14 @@ def test_ablation_config_names():
     assert single.arch(8) == TrainConfig().arch(8)
     full = TrainConfig(ablation="full")
     assert full.weights.as_tuple() == (0.35, 0.35, 0.2, 0.1)
-    arch = TrainConfig(ablation="level1_qs_only").arch(8)
-    assert arch.level1_mode == "qs"
-    assert arch.m1_active and not arch.m2_active
-    assert not arch.use_level2 and not arch.use_level3
-    arch = TrainConfig(ablation="level1_sc_only").arch(8)
-    assert arch.m2_active and not arch.m1_active and not arch.use_level2
+    assert single.arch(8).wiring == full.arch(8).wiring == "full"
+    # the other ablations each run the wiring of the same name
+    for name in ("combined_level1", "level12_only", "level1_qs_only",
+                 "level1_sc_only"):
+        assert TrainConfig(ablation=name).arch(8).wiring == name
     combined = TrainConfig(ablation="combined_level1")
-    assert combined.arch(8).combined_level1
     assert combined.weights.level1_qs == pytest.approx(0.7)
     l12 = TrainConfig(ablation="level12_only")
-    assert l12.arch(8).use_level2 and not l12.arch(8).use_level3
     assert sum(l12.weights.as_tuple()) == pytest.approx(1.0)
     with pytest.raises(UsageError, match="valid names"):
         TrainConfig(ablation="not_a_thing")
