@@ -157,15 +157,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if corpus.LONE_SURROGATE.search(args.question):
+        raise UsageError("--question is not UTF-8 text (it holds a lone surrogate)")
+    question = tokenize(args.question).tokens
+    if not question:
+        raise UsageError("question has no tokens")
     params = load_checkpoint(args.checkpoint)
     table = _load_table(args.embeddings, params.arch.embed_dim, args.table_seed)
     if not os.path.exists(args.document):
         raise DataError(f"document file not found: {args.document}")
     with open_text(args.document) as fh:
         text = fh.read()
-    question = tokenize(args.question).tokens
-    if not question:
-        raise UsageError("question has no tokens")
     doc = truncate(tokenize(text), max_tokens=args.truncate)
     example = QAExample("predict", question, [doc], [])
     _echo_config({

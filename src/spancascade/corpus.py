@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import string
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .evaluation import gold_indices, normalize_answer
 
 _PUNCT = set(string.punctuation)
 _SENTENCE_ENDERS = {".", "?", "!"}
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # JSON "\ud800", non-UTF-8 argv
 
 # articles, prepositions, wh-words and forms of "be"; used only by the
 # question-in-span feature (punctuation-only tokens are excluded separately)
@@ -294,6 +296,11 @@ def load_examples(
                     and all(isinstance(x, str) for x in record[key])):
                 raise ParseError(f"field {key!r} must be an array of strings",
                                  line_number=lineno)
+        for key in ("id", "question", "documents", "answers"):
+            texts = record[key] if isinstance(record[key], list) else [record[key]]
+            if any(map(LONE_SURROGATE.search, texts)):
+                raise ParseError(f"field {key!r} holds a lone surrogate, which "
+                                 "is not text", line_number=lineno)
         question = tokenize(record["question"]).tokens
         if not question:
             raise ContractError(

@@ -9,6 +9,7 @@ vector across runs and platforms.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -44,74 +45,74 @@ def oov_bucket(token: str, seed: int) -> int:
 class EmbeddingTable:
     """Immutable token -> vector map plus the hashed OOV bank.
 
-    In-vocabulary vectors are L2-normalized at construction; the OOV bank
-    is drawn coordinate-wise from N(0, 1) using the table seed and is kept
-    unnormalized. Lookups case-fold to lowercase. Safe for unrestricted
-    concurrent reads.
+    ``tokens`` is a sequence, and row i of the (len(tokens), e) ``vectors``
+    is token i's; tokens case-fold to lowercase and a repeated one keeps
+    its first row. One read-only (V + 1000, e) float64 matrix holds the V
+    vocabulary rows, L2-normalized, then the OOV bank, drawn from N(0, 1)
+    with the table seed and kept unnormalized; a dict maps each lowercased
+    token to its row. Safe for unrestricted concurrent reads.
     """
 
-    def __init__(self, vectors: dict[str, np.ndarray], dimension: int, seed: int = 0):
-        if dimension <= 0:
-            raise ContractError(f"dimension must be positive, got {dimension}")
+    def __init__(self, tokens, vectors, seed: int = 0):
         if seed < 0:
             raise ContractError(f"table seed must be >= 0, got {seed}")
-        self.dimension = int(dimension)
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2 or len(vectors) != len(tokens):
+            raise DataError(f"vectors have shape {vectors.shape}, expected "
+                            f"({len(tokens)}, dimension)")
+        self.dimension = vectors.shape[1]
+        if self.dimension < 1:
+            raise ContractError(f"dimension must be positive, got {self.dimension}")
         self.seed = int(seed)
-        vocab = {}
-        for token, vec in vectors.items():
-            key = token.lower()
-            if key in vocab:
-                continue  # first occurrence wins
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.shape != (self.dimension,):
-                raise DataError(
-                    f"vector for {token!r} has shape {arr.shape}, "
-                    f"expected ({self.dimension},)"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise DataError(f"non-finite vector for token {token!r}")
-            if not arr.any():
-                raise DataError(f"zero-norm vector for token {token!r}")
-            with np.errstate(over="ignore"):
-                norm = np.linalg.norm(arr)
-            if not 0.0 < norm < np.inf:  # the squares over- or underflowed
-                arr = arr / np.abs(arr).max()
-                norm = np.linalg.norm(arr)
-            arr = arr / norm
-            arr.setflags(write=False)
-            vocab[key] = arr
-        self._vocab = vocab
+        first: dict[str, int] = {}  # lowercased token -> index of its first row
+        for i, token in enumerate(tokens):
+            first.setdefault(token.lower(), i)
+        index = list(first.values())
         bank = np.random.default_rng(self.seed).standard_normal(
-            (OOV_BANK_SIZE, self.dimension)
-        )
-        bank.setflags(write=False)
-        self._oov_bank = bank
+            (OOV_BANK_SIZE, self.dimension))
+        matrix = np.concatenate([vectors[index], bank])
+        vocab = matrix[:len(index)]
+        finite = np.isfinite(vocab).all(axis=1)
+        bad = ~(finite & vocab.any(axis=1))
+        if bad.any():
+            i = int(bad.argmax())
+            kind = "zero-norm" if finite[i] else "non-finite"
+            raise DataError(f"{kind} vector for token {tokens[index[i]]!r}")
+        # per-row sqrt(dot) gives np.linalg.norm's bits; norm(axis=1) may not
+        with np.errstate(over="ignore"):
+            norms = np.sqrt([np.dot(row, row) for row in vocab])
+        for i in np.flatnonzero(~((0.0 < norms) & (norms < np.inf))):
+            vocab[i] /= np.abs(vocab[i]).max()  # the squares over- or underflowed
+            norms[i] = np.sqrt(np.dot(vocab[i], vocab[i]))
+        vocab /= norms[:, None]
+        matrix.setflags(write=False)
+        self._matrix = matrix
+        self._rows = dict(zip(first, range(len(index))))
 
     def __len__(self):
-        return len(self._vocab)
+        return len(self._rows)
 
     def __contains__(self, token: str) -> bool:
-        return token.lower() in self._vocab
+        return token.lower() in self._rows
 
     @property
     def oov_bank(self) -> np.ndarray:
-        return self._oov_bank
+        return self._matrix[len(self._rows):]
 
-    def lookup(self, token: str) -> np.ndarray:
-        """Vector for a token; OOV tokens hash into the fixed bank."""
+    def _row(self, token: str) -> int:
         if not token:
             raise ContractError("lookup of an empty token")
         key = token.lower()
-        vec = self._vocab.get(key)
-        if vec is not None:
-            return vec
-        return self._oov_bank[oov_bucket(key, self.seed)]
+        row = self._rows.get(key)
+        return len(self._rows) + oov_bucket(key, self.seed) if row is None else row
+
+    def lookup(self, token: str) -> np.ndarray:
+        """Vector for a token; OOV tokens hash into the fixed bank."""
+        return self._matrix[self._row(token)]
 
     def lookup_all(self, tokens) -> np.ndarray:
-        """Stack lookups into an (n, dimension) matrix."""
-        if not tokens:
-            return np.zeros((0, self.dimension))
-        return np.stack([self.lookup(t) for t in tokens])
+        """The (n, dimension) matrix of ``lookup`` rows, in one gather."""
+        return self._matrix[[self._row(t) for t in tokens]]
 
 
 def load_embeddings(source, dimension: int, seed: int = 0) -> EmbeddingTable:
@@ -119,59 +120,49 @@ def load_embeddings(source, dimension: int, seed: int = 0) -> EmbeddingTable:
 
     ``source`` is a path (``str`` or ``os.PathLike``), which is opened as
     UTF-8 (a byte that does not decode raises DataError), or any iterable
-    of text lines such as an open text stream. Duplicate tokens keep their
-    first occurrence; malformed lines, including nan or infinite values,
-    raise ParseError with the line number; zero-norm vectors raise
-    DataError. A dimension below 1 raises ContractError before any line
-    is read.
+    of text lines such as an open text stream. Malformed lines, including
+    nan or infinite values, raise ParseError with the line number; the
+    table keeps the first of repeated tokens and raises DataError naming a
+    zero-norm one. A dimension below 1 raises ContractError before any
+    line is read.
     """
     if dimension < 1:
         raise ContractError(f"dimension must be positive, got {dimension}")
     if isinstance(source, (str, os.PathLike)):
         with open_text(source) as fh:
             return load_embeddings(fh, dimension, seed)
-    vectors: dict[str, np.ndarray] = {}
+    tokens, rows = [], []
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != dimension + 1:
-            raise ParseError(
-                f"expected token plus {dimension} values, got {len(parts)} fields",
-                line_number=lineno,
-            )
-        token = parts[0]
+            raise ParseError(f"expected token plus {dimension} values, got "
+                             f"{len(parts)} fields", line_number=lineno)
         try:
-            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            rows.append([float(v) for v in parts[1:]])
         except ValueError as exc:
             raise ParseError(f"bad number: {exc}", line_number=lineno) from None
-        if not np.all(np.isfinite(vec)):
-            raise ParseError(f"non-finite value for token {token!r}",
+        if not all(map(math.isfinite, rows[-1])):
+            raise ParseError(f"non-finite value for token {parts[0]!r}",
                              line_number=lineno)
-        if token.lower() in vectors:
-            continue
-        if not vec.any():
-            raise DataError(f"line {lineno}: zero-norm vector for token {token!r}")
-        vectors[token.lower()] = vec
-    return EmbeddingTable(vectors, dimension, seed)
+        tokens.append(parts[0])
+    return EmbeddingTable(tokens, np.reshape(rows, (len(rows), dimension)), seed)
 
 
 def random_table(tokens, dimension: int, seed: int = 0) -> EmbeddingTable:
     """In-vocabulary table with seeded random unit vectors for each token.
 
-    Used by the synthetic corpora so that no two tokens collide the way
-    OOV bank buckets can.
+    One (len(tokens), dimension) standard-normal draw, row i for
+    ``tokens[i]``; a repeated token keeps its first row. Used by the
+    synthetic corpora so that no two tokens collide the way OOV bank
+    buckets can.
     """
     if dimension < 1:
         raise ContractError(f"dimension must be positive, got {dimension}")
     if seed < 0:
         raise ContractError(f"table seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    vectors = {}
-    for token in tokens:
-        v = rng.standard_normal(dimension)
-        while np.linalg.norm(v) == 0.0:
-            v = rng.standard_normal(dimension)
-        vectors[token.lower()] = v
-    return EmbeddingTable(vectors, dimension, seed)
+    tokens = list(tokens)
+    vectors = np.random.default_rng(seed).standard_normal((len(tokens), dimension))
+    return EmbeddingTable(tokens, vectors, seed)

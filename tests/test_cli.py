@@ -304,6 +304,20 @@ def test_predict_non_finite_weights(tmp_path, embeddings_path, trained_dir,
     assert message in capsys.readouterr().err
 
 
+def test_predict_non_utf8_question_is_usage_error(tmp_path, embeddings_path,
+                                                  trained_dir, capsys):
+    doc = tmp_path / "doc.txt"
+    doc.write_text("boral holds the prelt .")
+    # argv decodes a byte that is not UTF-8 to a lone surrogate
+    question = b"which \xff holds the prelt ?".decode("utf-8", "surrogateescape")
+    code = main(["predict", "--checkpoint",
+                 str(trained_dir / "checkpoint.ckpt"),
+                 "--embeddings", embeddings_path,
+                 "--question", question, "--document", str(doc)])
+    assert code == EXIT_USAGE
+    assert "--question is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_predict_unanswerable_empty_document(tmp_path, embeddings_path,
                                              trained_dir, capsys):
     doc = tmp_path / "empty.txt"

@@ -433,6 +433,24 @@ def test_load_examples_id_and_question_must_be_strings(field, value):
         load_examples(io.StringIO(GOOD_LINE + "\n" + line + "\n"))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("question", '"who {} ?"'), ("documents", '["a {} b ."]'),
+    ("answers", '["a", "{}"]'), ("id", '"q{}"'),
+])
+def test_load_examples_lone_surrogate_names_field(field, value):
+    def line(escape):
+        record = {"id": '"q"', "question": '"who ?"', "documents": '["a b ."]',
+                  "answers": '["a"]', field: value.format(escape)}
+        return "{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}\n"
+
+    for lone in (r"\ud800", r"\udfff"):
+        with pytest.raises(ParseError, match=f"line 2: field '{field}' holds "
+                                             "a lone surrogate"):
+            load_examples(io.StringIO(GOOD_LINE + "\n" + line(lone)))
+    # an escaped surrogate pair is one code point, and loads
+    assert len(load_examples(io.StringIO(line(r"\ud83d\ude00")))) == 1
+
+
 def test_load_examples_applies_truncation():
     docs = " ".join(["w"] * 100)
     line = ('{"id": "q", "question": "what ?", "documents": ["%s"], '

@@ -64,7 +64,16 @@ def test_extreme_magnitudes_normalize_to_unit_vectors():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_constructor_rejects_non_finite_vector(bad):
     with pytest.raises(DataError, match="non-finite vector for token 'a'"):
-        EmbeddingTable({"a": [bad, 1.0]}, 2)
+        EmbeddingTable(["a"], [[bad, 1.0]])
+
+
+def test_constructor_names_first_bad_token():
+    vectors = [[1.0, 0.0], [0.0, 0.0], [np.nan, 1.0], [0.0, 0.0]]
+    with pytest.raises(DataError, match="zero-norm vector for token 'b'"):
+        EmbeddingTable(["a", "b", "c", "d"], vectors)
+    # a repeated token's later row is dropped unchecked
+    table = EmbeddingTable(["a", "A"], [[1.0, 0.0], [np.nan, 0.0]])
+    np.testing.assert_array_equal(table.lookup("a"), [1.0, 0.0])
 
 
 def test_zero_norm_vector_rejected():
@@ -75,6 +84,16 @@ def test_zero_norm_vector_rejected():
 def test_duplicate_token_first_wins():
     table = load_embeddings(io.StringIO("a 1 0\na 0 1\n"), 2)
     np.testing.assert_array_equal(table.lookup("a"), [1.0, 0.0])
+
+
+def test_repeated_token_after_lowercasing_keeps_first_in_both_loaders():
+    loaded = load_embeddings(io.StringIO("A 1 0\na 0 1\n"), 2)
+    assert len(loaded) == 1
+    np.testing.assert_array_equal(loaded.lookup("a"), [1.0, 0.0])
+    drawn = random_table(["A", "a"], 4, seed=3)
+    first = np.random.default_rng(3).standard_normal(4)
+    assert len(drawn) == 1
+    assert drawn.lookup("a").tobytes() == (first / np.linalg.norm(first)).tobytes()
 
 
 def test_lookup_case_folds():
@@ -93,7 +112,7 @@ def test_oov_deterministic_and_from_bank():
 
 
 def test_oov_bank_standard_normal_not_renormalized():
-    table = EmbeddingTable({}, 300, seed=1)
+    table = EmbeddingTable([], np.empty((0, 300)), seed=1)
     bank = table.oov_bank
     assert bank.shape == (OOV_BANK_SIZE, 300)
     # N(0,1) coordinates: vector norms concentrate near sqrt(300), not 1
@@ -118,9 +137,11 @@ def test_two_tokens_can_share_bucket():
 
 
 def test_lookup_rejects_empty_token():
-    table = EmbeddingTable({}, 3)
+    table = EmbeddingTable([], np.empty((0, 3)))
     with pytest.raises(ContractError):
         table.lookup("")
+    with pytest.raises(ContractError):
+        table.lookup_all(["a", ""])
 
 
 def test_lookup_all_stacks():
@@ -131,10 +152,12 @@ def test_lookup_all_stacks():
 
 
 def test_table_rejects_bad_dimension():
-    with pytest.raises(ContractError):
-        EmbeddingTable({}, 0)
+    with pytest.raises(ContractError, match="dimension must be positive, got 0"):
+        EmbeddingTable([], np.empty((0, 0)))
     with pytest.raises(DataError):
-        EmbeddingTable({"a": np.ones(3)}, 2)
+        EmbeddingTable(["a", "b"], np.ones((1, 2)))
+    with pytest.raises(DataError):
+        EmbeddingTable(["a"], np.ones(3))
 
 
 @pytest.mark.parametrize("dimension", [0, -1])
@@ -152,6 +175,40 @@ def test_random_table_unit_vectors():
     assert abs(np.linalg.norm(table.lookup("x")) - 1.0) < 1e-9
     t2 = random_table(["x", "y"], 8, seed=3)
     assert table.lookup("y").tobytes() == t2.lookup("y").tobytes()
+
+
+def _per_token_vectors(n, dimension, seed):
+    """The reference: one draw per token, each divided by its own norm."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        arr = rng.standard_normal(dimension)
+        rows.append(arr / np.linalg.norm(arr))
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("dimension", [16, 50, 100])
+def test_random_table_matches_per_token_reference(dimension):
+    tokens = [f"w{i}" for i in range(3000)]
+    table = random_table(tokens, dimension, seed=11)
+    reference = _per_token_vectors(len(tokens), dimension, seed=11)
+    assert table.lookup_all(tokens).tobytes() == reference.tobytes()
+    bank = np.random.default_rng(11).standard_normal((OOV_BANK_SIZE, dimension))
+    assert table.oov_bank.tobytes() == bank.tobytes()
+
+
+def test_lookup_all_equals_stacked_lookups_and_rows_are_read_only():
+    table = random_table(["Alpha", "beta", "gamma"], 6, seed=2)
+    tokens = ["alpha", "ALPHA", "Beta", "gamma", "unseen", "Unseen", "zeta"]
+    np.testing.assert_array_equal(table.lookup_all(tokens),
+                                  np.stack([table.lookup(t) for t in tokens]))
+    assert table.lookup_all([]).shape == (0, 6)
+    for token in ("beta", "unseen"):
+        row = table.lookup(token)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+    assert not table.oov_bank.flags.writeable
 
 
 def test_load_from_file(tmp_path):
