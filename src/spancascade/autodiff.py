@@ -300,12 +300,18 @@ def _run_sizes(starts, n: int, op: str) -> tuple:
     return starts, sizes
 
 
+def _row_slots(idx: Array, width: int) -> Array:
+    """Flat (row, column) slots of rows ``idx`` of a C-ordered matrix of
+    ``width`` columns, row by row."""
+    return (idx[:, None] * width + np.arange(width)).ravel()
+
+
 def _scatter_add_rows(rows: Array, idx: Array, n: int) -> Array:
     """out[idx[i]] += rows[i] over i in order, from zeros: np.add.at's sums,
     computed by one bincount over flattened (row, column) slots."""
     width = rows.shape[1]
-    slots = (idx[:, None] * width + np.arange(width)).ravel()
-    out = np.bincount(slots, weights=rows.ravel(), minlength=n * width)
+    out = np.bincount(_row_slots(idx, width), weights=rows.ravel(),
+                      minlength=n * width)
     return out.reshape(n, width)
 
 
@@ -345,13 +351,11 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int,
         return a.tape._push(out, (a.idx,), lambda g: (g[segment_ids],))
     _check_same_tape(a, into)
     out = into.value
-    if out.shape != (num_segments, a.value.shape[1]):
+    width = a.value.shape[1]
+    if out.shape != (num_segments, width) or not out.flags.c_contiguous:
         raise DimensionError(f"segment_sum into a sum of shape {out.shape}")
-    # seed each touched segment's bincount slot with its sum so far
-    touched, local = np.unique(segment_ids, return_inverse=True)
-    out[touched] = _scatter_add_rows(
-        np.concatenate([out[touched], a.value]),
-        np.concatenate([np.arange(touched.size), local]), touched.size)
+    # np.add.at over the flat view adds each slot's rows in row order
+    np.add.at(out.reshape(-1), _row_slots(segment_ids, width), a.value.ravel())
     return a.tape._push(out, (into.idx, a.idx), lambda g: (g, g[segment_ids]))
 
 

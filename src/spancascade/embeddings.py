@@ -111,8 +111,12 @@ class EmbeddingTable:
         return self._matrix[self._row(token)]
 
     def lookup_all(self, tokens) -> np.ndarray:
-        """The (n, dimension) matrix of ``lookup`` rows, in one gather."""
-        return self._matrix[[self._row(t) for t in tokens]]
+        """The (n, dimension) matrix of ``lookup`` rows, in one gather; each
+        distinct token, after lowercasing, is looked up (and hashed, if
+        out of vocabulary) once."""
+        keys = [token.lower() for token in tokens]
+        rows = {key: self._row(key) for key in dict.fromkeys(keys)}
+        return self._matrix[[rows[key] for key in keys]]
 
 
 def load_embeddings(source, dimension: int, seed: int = 0) -> EmbeddingTable:

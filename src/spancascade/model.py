@@ -15,6 +15,9 @@ on a recording tape, inference (``score_example``) on a non-recording one.
 Span stages, sentence groups and level 3 run over chunks of bounded rows,
 so the working set is the O(n e) prefix sums, the O(U w) level-3 sums,
 O(S) indices and scores, and one chunk's features and activations.
+Inference holds OpenBLAS to one thread (``blas.one_thread``) and splits
+each large span or level-3 chunk into two fixed halves, scored at once on a
+two-thread pool; training runs its chunks serially on BLAS's threads.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ import math
 import os
 import tempfile
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from .autodiff import (
     DropoutState,
     FfnnParams,
@@ -364,21 +369,26 @@ def submodel(columns: list, net: FfnnParams, head: LinearParams,
 
 
 def level3_aggregate(summed: Tensor, bound: CascadeParams,
-                     drop: DropoutState | None = None):
+                     drop: DropoutState | None = None, pool=None):
     """Score each unique candidate from the sum of its mention vectors.
 
-    ``summed`` holds one row per unique, scored in row chunks; the rows
-    are sums, not means, so a duplicated mention changes its unique's score.
+    ``summed`` holds one row per unique, scored in row pieces (see
+    ``_pieces``); the rows are sums, not means, so a duplicated mention
+    changes its unique's score.
     """
     n_unique = summed.value.shape[0]
     if n_unique < 1:
         raise ContractError("aggregation needs at least one unique candidate")
-    phis = []
-    for lo, hi in _chunk_ranges(n_unique):
-        rows = summed if hi - lo == n_unique else ad.gather(summed,
-                                                            np.arange(lo, hi))
-        phis.append(linear(ffnn(rows, bound.nets["ffnn_l3"], drop),
-                           bound.nets["linear_l3"]))
+
+    def score_rows(tape, own, lo, hi):
+        rows = _on(tape, summed)
+        if hi - lo < n_unique:
+            rows = ad.gather(rows, np.arange(lo, hi))
+        return linear(ffnn(rows, own.nets["ffnn_l3"], drop),
+                      own.nets["linear_l3"])
+
+    phis = [_on(summed.tape, phi) for _, _, phi in
+            _pieces(summed.tape, bound, n_unique, score_rows, pool)]
     return phis[0] if len(phis) == 1 else ad.concat(phis)
 
 
@@ -442,17 +452,73 @@ def _chunk_ranges(n: int) -> list:
     return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
 
 
+def _on(tape: Tape, x: Tensor) -> Tensor:
+    """``x`` itself, or its value as a constant of ``tape`` if it lives on
+    another (non-recording) tape."""
+    return x if x.tape is tape else tape.constant(x.value)
+
+
+# A chunk is split for the pool only when its rows times w * (e + w), a
+# stand-in for its MACs per row, reach this (at e = w = 100, 800 rows). On
+# 2 cores at e, w <= 50, two threads ran slower than one even on 10k-span
+# examples: their time goes to numpy calls that hold the interpreter lock.
+_POOL_MIN_WORK = 16_000_000
+
+
+def _pieces(tape: Tape, bound: CascadeParams, n: int, work, pool=None):
+    """Yield (lo, hi, work(piece_tape, piece_bound, lo, hi)) over row pieces
+    that tile [0, n), in row order.
+
+    Each ``_chunk_ranges`` chunk runs on ``tape`` itself, in turn, unless
+    the tape does not record, ``pool`` (an executor) is given and the
+    chunk reaches _POOL_MIN_WORK: then it splits into two fixed halves that
+    run at once on the pool, each on a non-recording tape of its own whose
+    MACs ``tape`` then counts. The halves do not depend on the pool's size,
+    and at most one chunk's rows are in flight.
+    """
+    arch = bound.arch
+    row_work = arch.hidden_width * (arch.embed_dim + arch.hidden_width)
+    errors = np.geterr()  # numpy's error state is per thread
+
+    def run(piece):
+        own = Tape(record=False)
+        with np.errstate(**errors):
+            return own, work(own, _rebind(bound, own), *piece)
+
+    for lo, hi in _chunk_ranges(n):
+        if (pool is None or tape.record or hi - lo < 2
+                or (hi - lo) * row_work < _POOL_MIN_WORK):
+            yield lo, hi, work(tape, bound, lo, hi)
+            continue
+        mid = (lo + hi + 1) // 2
+        halves = [(lo, mid), (mid, hi)]
+        for (a, b), (own, out) in zip(halves, pool.map(run, halves)):
+            tape.stats.macs += own.stats.macs
+            yield a, b, out
+
+
+def _rebind(bound: CascadeParams, tape: Tape) -> CascadeParams:
+    """``bound``'s parameter values as constants of a non-recording tape."""
+    return CascadeParams(bound.arch, bound.seed, {
+        name: type(net)(*[tape.constant(x.value) for x in vars(net).values()])
+        for name, net in bound.nets.items()})
+
+
 def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
                     drop: DropoutState | None = None,
-                    stats: ForwardStats | None = None) -> CascadeScores:
+                    stats: ForwardStats | None = None,
+                    pool=None) -> CascadeScores:
     """Run every active level over an encoded example on the tape.
 
     The span stages (level 1, level 2 and level 3's mention transform) run
-    over row chunks. Each chunk adds its mention rows into one running sum
-    per unique, in span order, so level 3 gets the same bits whatever the
-    chunking; permuting a unique's mentions only reorders its sum.
-    Sentence attention runs once, after level 1 of the first chunk, so a
-    one-chunk pass draws dropout masks level by level.
+    over the row pieces of ``_pieces``, as do level 3's uniques; on a
+    non-recording tape, ``pool`` runs a large chunk's two halves at once.
+    The calling thread adds each piece's mention rows into one running sum per
+    unique, in span order, so level 3 gets the same bits whatever the
+    pieces; permuting a unique's mentions only reorders its sum. On a
+    recording tape sentence attention runs once, after level 1 of the
+    first chunk, so a one-chunk pass draws dropout masks level by level; a
+    non-recording one runs it before the pieces.
     """
     arch = bound.arch
     S = enc.n_spans
@@ -463,41 +529,59 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
     if arch.needs_question_nets:  # true of every wiring with level 2
         q_const = tape.constant(enc.question)
         q_tilde = question_vector(q_const, bound, drop)
+    bars = None
 
-    parts = {level.name: [] for level in arch.levels}
-    bars = summed = None
-    for lo, hi in _chunk_ranges(S):
-        gamma_col = tape.constant(enc.gamma[lo:hi, None])
-        s_avg, *ctx = [tape.constant(x) for x in enc.span_features(lo, hi)]
+    def summaries():
+        nonlocal bars
+        bars = bars or sentence_summaries(tape, q_const, enc, bound, drop,
+                                          stats)
+        return bars
+
+    if not tape.record and any(level.stage == 2 for level in arch.levels):
+        summaries()
+
+    def span_stages(own_tape, own, lo, hi):
+        """Each span level's scores over rows [lo, hi), and level 3's
+        mention rows (None without level 3)."""
+        gamma_col = own_tape.constant(enc.gamma[lo:hi, None])
+        s_avg, *ctx = [own_tape.constant(x) for x in enc.span_features(lo, hi)]
         # stage 1 reads [s_avg, its blocks, gamma]; stage 2 reads the
         # stage-1 hidden states, then [q_bar, g_bar, gamma] of the sentence
         blocks = {"context": ctx}
         if q_tilde is not None:
-            blocks["question"] = [gamma_col, ad.tile_rows(q_tilde, hi - lo)]
-        hidden_states = []
+            blocks["question"] = [gamma_col,
+                                  ad.tile_rows(_on(own_tape, q_tilde), hi - lo)]
+        hidden_states, phis, mentions = [], {}, None
         for level in arch.levels:
             if level.stage == 1:
                 columns = sum((blocks[b] for b in level.reads), [s_avg])
             elif level.stage == 2:
-                bars = bars or sentence_summaries(tape, q_const, enc, bound,
-                                                  drop, stats)
                 rows = enc.span_sentence[lo:hi]
-                columns = hidden_states + [ad.gather(bar, rows) for bar in bars]
+                columns = hidden_states + [ad.gather(_on(own_tape, bar), rows)
+                                           for bar in summaries()]
             else:
                 mentions = ffnn(ad.hstack([hidden_states[-1], gamma_col]),
-                                bound.nets["ffnn_agg"], drop)
-                summed = ad.segment_sum(mentions, enc.span_unique[lo:hi],
-                                        enc.n_unique, into=summed)
+                                own.nets["ffnn_agg"], drop)
                 continue
-            h, phi = submodel(columns + [gamma_col],
-                              bound.nets["ffnn_" + level.net],
-                              bound.nets["linear_" + level.net], drop)
+            h, phis[level.name] = submodel(columns + [gamma_col],
+                                           own.nets["ffnn_" + level.net],
+                                           own.nets["linear_" + level.net],
+                                           drop)
             hidden_states.append(h)
-            parts[level.name].append(phi)
+        return phis, mentions
+
+    parts = {level.name: [] for level in arch.levels}
+    summed = None
+    for lo, hi, (phis, mentions) in _pieces(tape, bound, S, span_stages, pool):
+        for name, phi in phis.items():
+            parts[name].append(_on(tape, phi))
+        if mentions is not None:
+            summed = ad.segment_sum(_on(tape, mentions), enc.span_unique[lo:hi],
+                                    enc.n_unique, into=summed)
 
     scores = CascadeScores()
     for level in arch.levels:
-        xs = ([level3_aggregate(summed, bound, drop)] if level.stage == 3
+        xs = ([level3_aggregate(summed, bound, drop, pool)] if level.stage == 3
               else parts[level.name])
         setattr(scores, level.name, xs[0] if len(xs) == 1 else ad.concat(xs))
     if stats is not None:
@@ -564,21 +648,38 @@ def predict(scores: CascadeScores, enc: EncodedExample) -> Prediction | None:
 # inference
 
 
+# process id -> the two-thread pool of score_example; keyed by process so
+# that a forked child, which inherits no threads, starts a pool of its own
+_POOLS = {}
+
+
+def _inference_pool() -> ThreadPoolExecutor:
+    pool = _POOLS.get(os.getpid())
+    return pool or _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(2))
+
+
 def score_example(params: CascadeParams, enc: EncodedExample,
                   workers: int = 1,
                   stats: ForwardStats | None = None) -> CascadeScores:
     """Inference-mode scores: ``forward_cascade`` on a non-recording tape.
 
-    No dropout and no recorded nodes; BLAS threads are the only
-    parallelism, so ``workers`` accepts 1 alone. Raises NonFiniteError on
-    a non-finite score.
+    No dropout and no recorded nodes. For the length of the call OpenBLAS
+    is held to one thread (``blas.one_thread``), and a two-thread pool
+    scores the two halves of each chunk that reaches _POOL_MIN_WORK at
+    once; which chunks split depends on the input's shape alone, so the
+    bits depend on neither the pool nor the BLAS thread count. Without the
+    OpenBLAS thread-count symbol every chunk runs whole and serially on
+    BLAS's own threads. ``workers`` accepts 1 alone. Raises NonFiniteError
+    on a non-finite score.
     """
     if workers != 1:
         raise ContractError(f"workers must be 1, got {workers}")
     tape = Tape(record=False)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        scores = forward_cascade(tape, params.bind(tape), enc,
-                                 stats=stats).values()
+    with (blas.one_thread() as pinned,
+          np.errstate(over="ignore", invalid="ignore")):  # reported below
+        pool = _inference_pool() if pinned else None
+        scores = forward_cascade(tape, params.bind(tape), enc, stats=stats,
+                                 pool=pool).values()
     if not all(np.all(np.isfinite(phi)) for _, phi in scores.active()):
         raise NonFiniteError("non-finite score at inference")
     return scores

@@ -454,6 +454,29 @@ def test_segment_sum_matches_sequential_add_at_bitwise():
     assert got.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("record", [True, False])
+def test_segment_sum_into_matches_sequential_loop_bitwise(record):
+    """Chained calls, whose ids repeat within and across calls, add each
+    row in call and row order, as a plain loop does."""
+    rng = np.random.default_rng(6)
+    calls = [np.array(ids) for ids in
+             ([2, 0, 2, 5], [5, 2, 2, 1, 0, 5], [0, 0, 3, 2])]
+    rows = [rng.normal(size=(len(ids), 7))
+            * 10.0 ** rng.integers(-8, 8, (len(ids), 1)) for ids in calls]
+    expect = np.zeros((6, 7))
+    for ids, block in zip(calls, rows):
+        for i, row in zip(ids, block):
+            expect[i] += row
+    tape = ad.Tape(record=record)
+    summed = None
+    for ids, block in zip(calls, rows):
+        summed = ad.segment_sum(tape.constant(block), ids, 6, into=summed)
+    assert summed.value.tobytes() == expect.tobytes()
+    with pytest.raises(DimensionError):
+        ad.segment_sum(tape.constant(rows[0]), calls[0], 6,
+                       into=tape.constant(np.zeros((7, 6)).T))
+
+
 @pytest.mark.parametrize("op", [
     lambda x: ad.gather(x, [0, 3]),
     lambda x: ad.gather(x, [-1]),

@@ -211,6 +211,23 @@ def test_lookup_all_equals_stacked_lookups_and_rows_are_read_only():
     assert not table.oov_bank.flags.writeable
 
 
+def test_lookup_all_hashes_each_distinct_oov_token_once(monkeypatch):
+    from spancascade import embeddings
+
+    table = random_table(["alpha", "beta"], 4, seed=3)
+    tokens = ["Zork", "alpha", "zork", "qux", "ZORK", "beta", "qux", "alpha"]
+    expected = np.stack([table.lookup(t) for t in tokens])
+    hashed = []
+
+    def counting_bucket(token, seed):
+        hashed.append(token)
+        return oov_bucket(token, seed)
+
+    monkeypatch.setattr(embeddings, "oov_bucket", counting_bucket)
+    assert table.lookup_all(tokens).tobytes() == expected.tobytes()
+    assert sorted(hashed) == ["qux", "zork"]
+
+
 def test_load_from_file(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("hello 3 4\n")

@@ -2,15 +2,21 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spancascade import autodiff as ad
+from spancascade import bench, blas, synth
 from spancascade import model as mdl
-from spancascade import synth
 from spancascade.corpus import QAExample, build_candidates, tokenize
 from spancascade.embeddings import random_table
 from spancascade.errors import CheckpointError, ContractError, EmptyCandidateError
@@ -617,6 +623,119 @@ def test_mac_count_matches_between_paths(toy):
     stats_n = mdl.ForwardStats()
     mdl.score_example(params, enc, stats=stats_n)
     assert stats_t.macs == stats_n.macs > 0
+
+
+def _threaded_case():
+    """An example of three span chunks and two unique chunks, at e=w=100,
+    wide enough for every chunk to split."""
+    arch = mdl.Architecture(embed_dim=100, hidden_width=100)
+    example = bench.synthetic_example(1000, seed=3)
+    table = random_table(bench.bench_vocabulary(), 100, seed=3)
+    enc = mdl.encode_example(example, build_candidates(example), table, arch)
+    return mdl.CascadeParams.initialize(arch, 3), enc
+
+
+def _digest(scores) -> str:
+    return hashlib.sha256(b"".join(phi.tobytes() for _, phi in
+                                   scores.active())).hexdigest()
+
+
+def print_threaded_case_scores():
+    """Run in a subprocess: the digest of score_example's scores, and its
+    MAC count."""
+    stats = mdl.ForwardStats()
+    print(_digest(mdl.score_example(*_threaded_case(), stats=stats)),
+          stats.macs)
+
+
+def test_inference_bytes_do_not_depend_on_pool_or_blas_threads():
+    """score_example at OPENBLAS_NUM_THREADS=1 and =2 (subprocesses), and
+    forward_cascade on pools of 1 and 2 threads, give the same score bytes
+    and MAC count."""
+    params, enc = _threaded_case()
+    assert len(mdl._chunk_ranges(enc.n_spans)) == 3
+    assert len(mdl._chunk_ranges(enc.n_unique)) == 2
+    src = os.path.dirname(os.path.dirname(mdl.__file__))
+    tests = os.path.dirname(__file__)
+    runs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, tests]))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import test_model; test_model.print_threaded_case_scores()"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        runs.add(tuple(done.stdout.split()))
+    for size in (1, 2):
+        stats = mdl.ForwardStats()
+        tape = ad.Tape(record=False)
+        with blas.one_thread(), _CountingPool(size) as pool:
+            scores = mdl.forward_cascade(tape, params.bind(tape), enc,
+                                         stats=stats, pool=pool)
+        assert pool.maps == 3 + 2  # every span and unique chunk split
+        runs.add((_digest(scores.values()), str(stats.macs)))
+    assert len(runs) == 1, runs
+
+
+class _CountingPool(ThreadPoolExecutor):
+    maps = 0
+
+    def map(self, *args, **kwargs):
+        self.maps += 1
+        return super().map(*args, **kwargs)
+
+
+def test_blas_one_thread_restores_count_after_last_holder():
+    if not blas._thread_calls():
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count symbol")
+    get = blas._thread_calls()[0]
+    before = get()
+    with blas.one_thread() as outer:
+        assert outer and get() == 1
+        with blas.one_thread() as inner:
+            assert inner and get() == 1
+        assert get() == 1
+    assert get() == before
+
+
+def test_concurrent_score_example_calls_match_serial_bytes():
+    """Six threads on two cores score at once, switching every
+    microsecond: each result has the serial bytes, every thread finishes,
+    and the BLAS thread count is restored."""
+    params, enc = _threaded_case()
+    expect = _digest(mdl.score_example(params, enc))
+    before = blas._thread_calls()[0]() if blas._thread_calls() else None
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(
+            _digest(mdl.score_example(params, enc)))) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expect] * 6
+    if before is not None:
+        assert blas._thread_calls()[0]() == before
+
+
+def test_score_example_without_thread_symbol_runs_serially(monkeypatch):
+    params, enc = _threaded_case()
+    pinned = mdl.score_example(params, enc)
+    monkeypatch.setitem(blas._state, "calls", ())
+
+    def no_pool():
+        raise AssertionError("the pool needs OpenBLAS held to one thread")
+
+    monkeypatch.setattr(mdl, "_inference_pool", no_pool)
+    serial = mdl.score_example(params, enc)
+    for level, phi in pinned.active():
+        np.testing.assert_allclose(getattr(serial, level.name), phi,
+                                   rtol=1e-12, atol=0)
 
 
 def test_score_example_rejects_bad_workers(toy):
