@@ -219,15 +219,26 @@ def build_candidates(example: QAExample,
     sentence = np.repeat(np.repeat(np.arange(len(sizes)), sizes), room)
     doc = np.repeat(np.arange(len(docs)), n_sents)[sentence]
 
-    # uniques: distinct rows of token ids (padded with -1 to the longest
-    # span, not to span_limit), by first mention
-    steps = np.arange(length.max(initial=0))
-    inside = steps < length[:, None]
-    rows = np.where(inside, ids[np.where(inside, begin[:, None] + steps, 0)], -1)
-    _, first, inverse = np.unique(rows, axis=0, return_index=True,
-                                  return_inverse=True)
-    rank = np.argsort(np.argsort(first))
-    first = np.sort(first)
+    # uniques by first mention. A span of length L is its (L - 1)-prefix
+    # plus one token, so the distinct spans of length L are the distinct
+    # keys (the prefix's id among length L - 1, the last token's id); span
+    # (p, L) sits at _starts(room)[p] + L - 1, and the starts with room for
+    # length L are a subset of those with room for L - 1
+    starts = _starts(room)
+    at, dense = np.arange(len(room)), np.zeros(len(room), dtype=np.intp)
+    key_id = np.empty(len(begin), dtype=np.intp)  # per span, in key order
+    firsts = [np.zeros(0, dtype=np.intp)]  # per unique, in key order
+    for L in range(1, int(room.max(initial=0)) + 1):
+        keep = room[at] >= L
+        at, dense = at[keep], dense[keep]
+        _, first, dense = np.unique(dense * len(vocab) + ids[at + L - 1],
+                                    return_index=True, return_inverse=True)
+        key_id[starts[at] + L - 1] = dense + sum(map(len, firsts))
+        firsts.append(starts[at[first]] + L - 1)
+    firsts = np.concatenate(firsts)
+    rank = np.empty_like(firsts)
+    rank[np.argsort(firsts)] = np.arange(len(firsts))
+    first = np.sort(firsts)
 
     surfaces = [" ".join(raw[b:b + n])
                 for b, n in zip(begin[first].tolist(), length[first].tolist())]
@@ -235,7 +246,9 @@ def build_candidates(example: QAExample,
     # gold rule needs to see only the uniques whose tokens all do
     words = {w for a in example.answers for w in normalize_answer(a).split()}
     fits = [all(w in words for w in normalize_answer(t).split()) for t in vocab]
-    maybe = np.flatnonzero(np.append(fits, True)[rows[first]].all(axis=1))
+    misses = np.concatenate([[0], np.cumsum(~np.array(fits, dtype=bool)[ids])])
+    end = begin[first] + length[first]
+    maybe = np.flatnonzero(misses[end] == misses[begin[first]])
     gold = maybe[gold_indices([surfaces[i] for i in maybe.tolist()],
                               example.answers)]
 
@@ -245,7 +258,7 @@ def build_candidates(example: QAExample,
     hits = np.concatenate([[0], np.cumsum(np.isin(ids, content))])
     spans = SpanTable(doc=doc, sentence=sentence - _starts(n_sents)[doc],
                       start=begin - tok_off[doc], length=length,
-                      unique=rank[inverse.reshape(-1)])
+                      unique=rank[key_id])
     return CandidateSet(spans, surfaces, gold,
                         (hits[begin + length] > hits[begin]).astype(np.float64))
 

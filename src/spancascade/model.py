@@ -14,20 +14,23 @@ One forward pass, ``forward_cascade``, serves both uses: training runs it
 on a recording tape, inference (``score_example``) on a non-recording one.
 Span stages, sentence groups and level 3 run over chunks of bounded rows,
 so the working set is the O(n e) prefix sums, the O(U w) level-3 sums,
-O(S) indices and scores, and one chunk's features and activations.
+O(S) indices and scores, and a few chunks' features and activations.
 Inference holds OpenBLAS to one thread (``blas.one_thread``) and splits
-each large span or level-3 chunk into two fixed halves, scored at once on a
-two-thread pool; training runs its chunks serially on BLAS's threads.
+each large span chunk, sentence group or level-3 chunk into two fixed
+halves, which a two-thread pool scores while the next pieces wait queued;
+training runs its chunks serially on BLAS's threads.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import os
 import tempfile
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -388,7 +391,8 @@ def level3_aggregate(summed: Tensor, bound: CascadeParams,
                       own.nets["linear_l3"])
 
     phis = [_on(summed.tape, phi) for _, _, phi in
-            _pieces(summed.tape, bound, n_unique, score_rows, pool)]
+            _pieces(summed.tape, bound, _chunk_ranges(n_unique),
+                    range(n_unique + 1), score_rows, pool)]
     return phis[0] if len(phis) == 1 else ad.concat(phis)
 
 
@@ -405,43 +409,55 @@ def _attention_masks(drop: DropoutState | None, sizes: list, m: int, w: int):
 
 def sentence_summaries(tape: Tape, q: Tensor, enc: EncodedExample,
                        bound: CascadeParams, drop: DropoutState | None = None,
-                       stats: ForwardStats | None = None):
+                       stats: ForwardStats | None = None, pool=None):
     """Attend/compare of the question with each sentence: (n_sentences, w)
     q_bar and g_bar rows, from one pass per group of whole sentences (at
-    most _MAX_CHUNK_ROWS tokens, or one longer sentence). Segment ops keep
-    each sentence's alignments and sums to its own tokens."""
-    groups, tokens = [], 0
-    for s, e in enc.sentence_ranges:
-        if not groups or tokens + e - s > _MAX_CHUNK_ROWS:
-            groups, tokens = groups + [[]], 0
-        groups[-1].append((s, e))
-        tokens += e - s
+    most _MAX_CHUNK_ROWS tokens, or one longer sentence). The groups are
+    ``_pieces`` chunks over sentences, weighed by their tokens, so on a pool
+    a large group's two halves run at once; the question is projected once,
+    here. Segment ops keep each sentence's alignments and sums to its own
+    tokens."""
+    sizes = [e - s for s, e in enc.sentence_ranges]
+    firsts, tokens = [], 0
+    for i, size in enumerate(sizes):
+        if not firsts or tokens + size > _MAX_CHUNK_ROWS:
+            firsts, tokens = firsts + [i], 0
+        tokens += size
+    groups = list(zip(firsts, firsts[1:] + [len(sizes)]))
     m, w = q.value.shape[0], bound.arch.hidden_width
-    project, compare = bound.nets["ffnn_att1"], bound.nets["ffnn_att2"]
-    q_projected = ffnn(q, project, drop)
-    q_bars, g_bars = [], []
-    for group in groups:
-        n, sizes = len(group), [e - s for s, e in group]
-        starts = np.cumsum(sizes) - sizes
-        if stats is not None:
-            stats.attention_calls += n
-        att1, att2_q, att2_g = _attention_masks(drop, sizes, m, w)
-        g = tape.constant(np.concatenate([enc.doc_embed[s:e] for s, e in group]))
+    q_projected = ffnn(q, bound.nets["ffnn_att1"], drop)
+    if stats is not None:
+        stats.attention_calls += len(sizes)
+
+    def attend(own_tape, own, lo, hi):
+        n, group_sizes = hi - lo, sizes[lo:hi]
+        starts = np.cumsum(group_sizes) - group_sizes
+        project, compare = own.nets["ffnn_att1"], own.nets["ffnn_att2"]
+        att1, att2_q, att2_g = _attention_masks(drop, group_sizes, m, w)
+        g = own_tape.constant(np.concatenate(
+            [enc.doc_embed[s:e] for s, e in enc.sentence_ranges[lo:hi]]))
         g_projected = ffnn(g, project, masks=att1)
-        eta = ad.matmul(q_projected, ad.transpose(g_projected))  # (m, N)
+        eta = ad.matmul(_on(own_tape, q_projected),
+                        ad.transpose(g_projected))  # (m, N)
         q_att = ad.segment_matmul(ad.segment_softmax(eta, starts), g, starts)
-        g_att = ad.matmul(ad.transpose(ad.softmax(eta, axis=0)), q)  # (N, e)
-        q_rows = ad.hstack([tape.constant(np.tile(q.value, (n, 1))), q_att])
+        g_att = ad.matmul(ad.transpose(ad.softmax(eta, axis=0)),
+                          _on(own_tape, q))  # (N, e)
+        q_rows = ad.hstack([own_tape.constant(np.tile(q.value, (n, 1))), q_att])
         q_cmp = ffnn(q_rows, compare, masks=att2_q)  # (n * m, w)
         g_cmp = ffnn(ad.hstack([g, g_att]), compare, masks=att2_g)
-        q_bars.append(ad.segment_sum(q_cmp, np.repeat(np.arange(n), m), n))
-        g_bars.append(ad.segment_sum(g_cmp, np.repeat(np.arange(n), sizes), n))
-    return ad.concat(q_bars), ad.concat(g_bars)
+        return (ad.segment_sum(q_cmp, np.repeat(np.arange(n), m), n),
+                ad.segment_sum(g_cmp, np.repeat(np.arange(n), group_sizes), n))
+
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    bars = [(_on(tape, q_bar), _on(tape, g_bar)) for _, _, (q_bar, g_bar) in
+            _pieces(tape, bound, groups, offsets, attend, pool)]
+    return tuple(ad.concat(list(column)) for column in zip(*bars))
 
 
 # Rows per span-stage or level-3 chunk and tokens per sentence group: it
-# bounds a long document's activations to one chunk's; a training example
-# with at most this many spans runs as one chunk, drawing masks level by level.
+# bounds a long document's activations to one chunk's (at inference, to the
+# pieces in flight; see _pieces); a training example with at most this many
+# spans runs as one chunk, drawing masks level by level.
 _MAX_CHUNK_ROWS = 2048
 
 
@@ -458,43 +474,76 @@ def _on(tape: Tape, x: Tensor) -> Tensor:
     return x if x.tape is tape else tape.constant(x.value)
 
 
-# A chunk is split for the pool only when its rows times w * (e + w), a
-# stand-in for its MACs per row, reach this (at e = w = 100, 800 rows). On
-# 2 cores at e, w <= 50, two threads ran slower than one even on 10k-span
-# examples: their time goes to numpy calls that hold the interpreter lock.
+# A chunk is split for the pool only when its rows (or tokens) times
+# w * (e + w), a stand-in for its MACs per row, reach this (at e = w = 100,
+# 800 rows). On 2 cores at e, w <= 50, two threads ran slower than one even
+# on 10k-span examples: their time goes to numpy calls that hold the
+# interpreter lock.
 _POOL_MIN_WORK = 16_000_000
 
+# pooled pieces a caller keeps submitted and not yet taken: on the
+# two-thread pool, two running and one queued
+_AHEAD = 3
 
-def _pieces(tape: Tape, bound: CascadeParams, n: int, work, pool=None):
-    """Yield (lo, hi, work(piece_tape, piece_bound, lo, hi)) over row pieces
-    that tile [0, n), in row order.
 
-    Each ``_chunk_ranges`` chunk runs on ``tape`` itself, in turn, unless
-    the tape does not record, ``pool`` (an executor) is given and the
-    chunk reaches _POOL_MIN_WORK: then it splits into two fixed halves that
-    run at once on the pool, each on a non-recording tape of its own whose
-    MACs ``tape`` then counts. The halves do not depend on the pool's size,
-    and at most one chunk's rows are in flight.
+def _pieces(tape: Tape, bound: CascadeParams, chunks: list, offsets, work,
+            pool=None):
+    """Yield (lo, hi, work(piece_tape, piece_bound, lo, hi)) over pieces
+    that tile the [lo, hi) ``chunks``, in order; ``offsets[i]`` counts the
+    rows (or tokens) before item i.
+
+    A chunk runs whole on ``tape`` itself unless the tape does not record,
+    ``pool`` (an executor) is given, the chunk holds two items or more and
+    its rows reach _POOL_MIN_WORK: then it splits, at the first item
+    boundary at or past the middle of its rows, into two halves that run on
+    the pool, each on a non-recording tape of its own whose MACs ``tape``
+    then counts. Pooled pieces are submitted ahead, across chunks,
+    at most _AHEAD of them not yet taken; the caller takes them in order.
+    The pieces depend on the input's shape alone, not on the pool's size.
+    When the generator is closed or a piece raises, queued pieces are
+    cancelled and running ones waited for, so none outlives the caller's
+    hold on BLAS. ``work`` must not submit to the pool: with every pool
+    thread waiting on its own submissions, the pool would deadlock.
     """
     arch = bound.arch
     row_work = arch.hidden_width * (arch.embed_dim + arch.hidden_width)
+    plan = []  # (lo, hi, pooled)
+    for lo, hi in chunks:
+        if (pool is None or tape.record or hi - lo < 2
+                or (offsets[hi] - offsets[lo]) * row_work < _POOL_MIN_WORK):
+            plan.append((lo, hi, False))
+            continue
+        mid = bisect.bisect_left(offsets, (offsets[lo] + offsets[hi]) / 2,
+                                 lo + 1, hi - 1)
+        plan += [(lo, mid, True), (mid, hi, True)]
+    ahead = [(i, lo, hi) for i, (lo, hi, pooled) in enumerate(plan) if pooled]
+    if not ahead:  # nothing to pool: spare small examples the scheduler
+        for lo, hi, _ in plan:
+            yield lo, hi, work(tape, bound, lo, hi)
+        return
     errors = np.geterr()  # numpy's error state is per thread
 
-    def run(piece):
+    def run(lo, hi):
         own = Tape(record=False)
         with np.errstate(**errors):
-            return own, work(own, _rebind(bound, own), *piece)
+            return own, work(own, _rebind(bound, own), lo, hi)
 
-    for lo, hi in _chunk_ranges(n):
-        if (pool is None or tape.record or hi - lo < 2
-                or (hi - lo) * row_work < _POOL_MIN_WORK):
-            yield lo, hi, work(tape, bound, lo, hi)
-            continue
-        mid = (lo + hi + 1) // 2
-        halves = [(lo, mid), (mid, hi)]
-        for (a, b), (own, out) in zip(halves, pool.map(run, halves)):
+    unsubmitted, pending = iter(ahead), {}  # pending: plan index -> future
+    try:
+        for i, (lo, hi, pooled) in enumerate(plan):
+            for j, a, b in itertools.islice(unsubmitted,
+                                            _AHEAD - len(pending)):
+                pending[j] = pool.submit(run, a, b)
+            if not pooled:
+                yield lo, hi, work(tape, bound, lo, hi)
+                continue
+            own, out = pending.pop(i).result()
             tape.stats.macs += own.stats.macs
-            yield a, b, out
+            yield lo, hi, out
+    finally:  # pieces are left pending by an error or an early close
+        for future in pending.values():
+            future.cancel()
+        wait(pending.values())
 
 
 def _rebind(bound: CascadeParams, tape: Tape) -> CascadeParams:
@@ -511,14 +560,15 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
     """Run every active level over an encoded example on the tape.
 
     The span stages (level 1, level 2 and level 3's mention transform) run
-    over the row pieces of ``_pieces``, as do level 3's uniques; on a
-    non-recording tape, ``pool`` runs a large chunk's two halves at once.
-    The calling thread adds each piece's mention rows into one running sum per
-    unique, in span order, so level 3 gets the same bits whatever the
+    over the row pieces of ``_pieces``, as do sentence attention's groups
+    and level 3's uniques; on a non-recording tape, ``pool`` runs the halves
+    of large chunks, two at a time. Each stage waits for the one before it.
+    The calling thread adds each piece's mention rows into one running sum
+    per unique, in span order, so level 3 gets the same bits whatever the
     pieces; permuting a unique's mentions only reorders its sum. On a
     recording tape sentence attention runs once, after level 1 of the
     first chunk, so a one-chunk pass draws dropout masks level by level; a
-    non-recording one runs it before the pieces.
+    non-recording one runs it before the span pieces.
     """
     arch = bound.arch
     S = enc.n_spans
@@ -534,7 +584,7 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
     def summaries():
         nonlocal bars
         bars = bars or sentence_summaries(tape, q_const, enc, bound, drop,
-                                          stats)
+                                          stats, pool)
         return bars
 
     if not tape.record and any(level.stage == 2 for level in arch.levels):
@@ -572,7 +622,8 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
 
     parts = {level.name: [] for level in arch.levels}
     summed = None
-    for lo, hi, (phis, mentions) in _pieces(tape, bound, S, span_stages, pool):
+    for lo, hi, (phis, mentions) in _pieces(tape, bound, _chunk_ranges(S),
+                                            range(S + 1), span_stages, pool):
         for name, phi in phis.items():
             parts[name].append(_on(tape, phi))
         if mentions is not None:
@@ -665,12 +716,12 @@ def score_example(params: CascadeParams, enc: EncodedExample,
 
     No dropout and no recorded nodes. For the length of the call OpenBLAS
     is held to one thread (``blas.one_thread``), and a two-thread pool
-    scores the two halves of each chunk that reaches _POOL_MIN_WORK at
-    once; which chunks split depends on the input's shape alone, so the
-    bits depend on neither the pool nor the BLAS thread count. Without the
-    OpenBLAS thread-count symbol every chunk runs whole and serially on
-    BLAS's own threads. ``workers`` accepts 1 alone. Raises NonFiniteError
-    on a non-finite score.
+    scores the halves of each chunk or sentence group that reaches
+    _POOL_MIN_WORK (see ``_pieces``); which chunks split depends on the
+    input's shape alone, so the bits depend on neither the pool nor the
+    BLAS thread count. Without the OpenBLAS thread-count symbol every chunk
+    runs whole and serially on BLAS's own threads. ``workers`` accepts 1
+    alone. Raises NonFiniteError on a non-finite score.
     """
     if workers != 1:
         raise ContractError(f"workers must be 1, got {workers}")

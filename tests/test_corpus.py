@@ -254,15 +254,22 @@ def test_unique_map_mentions_partition_spans():
 
 
 def test_unique_ids_match_dict_oracle_on_random_examples():
+    """One to three documents; half of them one token in varying case, so
+    that every span shares its prefix's unique, some with sentence ends in
+    the run; span limits from 1 to past the longest sentence."""
     rng = np.random.default_rng(12)
     words = ["Alpha", "alpha", "ALPHA", "beta", "Beta", "gamma", ",", "."]
-    for _ in range(50):
+    runs = ["Alpha", "alpha", "ALPHA", "alpha", "alpha", "."]
+    for _ in range(120):
         docs = []
         for _ in range(int(rng.integers(1, 4))):
-            n = int(rng.integers(0, 30))
+            n = int(rng.integers(0, 40))
+            pick = (words if rng.random() < 0.5
+                    else runs[:int(rng.integers(3, 7))])
             docs.append(tokenize(" ".join(
-                words[int(i)] for i in rng.integers(0, len(words), n))))
-        limit = int(rng.integers(1, 7))
+                pick[int(i)] for i in rng.integers(0, len(pick), n))))
+        longest = max([e - s for d in docs for s, e in d.sentences] or [0])
+        limit = int(rng.integers(1, longest + 3))
         cands = build_candidates(QAExample("x", ["who"], docs, []), limit)
         assert unique_oracle(docs, cands) == (cands.spans.unique.tolist(),
                                               cands.surfaces)

@@ -626,8 +626,9 @@ def test_mac_count_matches_between_paths(toy):
 
 
 def _threaded_case():
-    """An example of three span chunks and two unique chunks, at e=w=100,
-    wide enough for every chunk to split."""
+    """An example of three span chunks, two unique chunks and one sentence
+    group of 50 sentences, at e=w=100, wide enough for every chunk and the
+    group to split."""
     arch = mdl.Architecture(embed_dim=100, hidden_width=100)
     example = bench.synthetic_example(1000, seed=3)
     table = random_table(bench.bench_vocabulary(), 100, seed=3)
@@ -651,10 +652,12 @@ def print_threaded_case_scores():
 def test_inference_bytes_do_not_depend_on_pool_or_blas_threads():
     """score_example at OPENBLAS_NUM_THREADS=1 and =2 (subprocesses), and
     forward_cascade on pools of 1 and 2 threads, give the same score bytes
-    and MAC count."""
+    and MAC count; the pools run every span, unique and sentence piece."""
     params, enc = _threaded_case()
     assert len(mdl._chunk_ranges(enc.n_spans)) == 3
     assert len(mdl._chunk_ranges(enc.n_unique)) == 2
+    assert 1 < len(enc.sentence_ranges) < enc.doc_embed.shape[0] \
+        <= mdl._MAX_CHUNK_ROWS
     src = os.path.dirname(os.path.dirname(mdl.__file__))
     tests = os.path.dirname(__file__)
     runs = set()
@@ -672,17 +675,88 @@ def test_inference_bytes_do_not_depend_on_pool_or_blas_threads():
         with blas.one_thread(), _CountingPool(size) as pool:
             scores = mdl.forward_cascade(tape, params.bind(tape), enc,
                                          stats=stats, pool=pool)
-        assert pool.maps == 3 + 2  # every span and unique chunk split
+        # two halves of every span chunk, unique chunk and sentence group
+        assert len(pool.futures) == 2 * (3 + 2 + 1)
         runs.add((_digest(scores.values()), str(stats.macs)))
     assert len(runs) == 1, runs
 
 
 class _CountingPool(ThreadPoolExecutor):
-    maps = 0
+    """A thread pool that keeps every future it hands out."""
 
-    def map(self, *args, **kwargs):
-        self.maps += 1
-        return super().map(*args, **kwargs)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.futures = []
+
+    def submit(self, *args, **kwargs):
+        self.futures.append(super().submit(*args, **kwargs))
+        return self.futures[-1]
+
+
+def test_pieces_close_cancels_queued_and_waits_for_running():
+    """Closing the piece generator early cancels the queued piece and
+    returns only once the running one has finished."""
+    params = mdl.CascadeParams.initialize(ARCH, 0)
+    tape = ad.Tape(record=False)
+    started, release, ran = threading.Event(), threading.Event(), []
+
+    def work(own_tape, own, lo, hi):
+        ran.append(lo)
+        if lo == 1:
+            started.set()
+            release.wait(timeout=60)
+        return lo
+
+    # four chunks of two items, each heavy enough to split
+    offsets = np.arange(9) * mdl._POOL_MIN_WORK
+    with _CountingPool(1) as pool:
+        pieces = mdl._pieces(tape, params.bind(tape),
+                             [(0, 2), (2, 4), (4, 6), (6, 8)], offsets, work,
+                             pool)
+        assert next(pieces)[:2] == (0, 1)
+        # the second piece runs, the third waits queued
+        assert started.wait(timeout=60)
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        pieces.close()
+        assert release.is_set()  # close waited for the running piece
+        timer.join()
+        futures = pool.futures
+        assert len(futures) == mdl._AHEAD
+        assert all(f.done() for f in futures) and futures[-1].cancelled()
+    assert ran == [0, 1]
+
+
+def test_score_example_reraises_a_piece_error_and_leaves_no_piece(
+        monkeypatch):
+    """The span stage's second pooled piece raises, with pieces of the
+    stage still running and queued: score_example re-raises, every piece
+    it submitted has finished or been cancelled, and the BLAS thread count
+    is restored."""
+    if not blas._thread_calls():
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count symbol")
+    params, enc = _threaded_case()
+    before = blas._thread_calls()[0]()
+    pool, calls = _CountingPool(2), []
+    rebind = mdl._rebind
+
+    def failing_rebind(bound, tape):
+        calls.append(None)
+        if len(calls) == 2 + 2:  # after sentence attention's two pieces
+            raise RuntimeError("piece failed")
+        return rebind(bound, tape)
+
+    monkeypatch.setattr(mdl, "_rebind", failing_rebind)
+    monkeypatch.setattr(mdl, "_inference_pool", lambda: pool)
+    try:
+        with pytest.raises(RuntimeError, match="piece failed"):
+            mdl.score_example(params, enc)
+        assert pool.futures and all(f.done() for f in pool.futures)
+        assert blas._thread_calls()[0]() == before
+        started = len(calls)
+    finally:
+        pool.shutdown()
+    assert len(calls) == started  # no queued piece started afterwards
 
 
 def test_blas_one_thread_restores_count_after_last_holder():
