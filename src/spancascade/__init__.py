@@ -8,7 +8,6 @@ from .autodiff import (
     Tape,
     Tensor,
     concat,
-    dropout,
     ffnn,
     finite_difference_check,
     linear,

@@ -4,18 +4,18 @@ Every value is a float64 numpy array recorded as a node on a ``Tape``.
 Operations are free functions that push nodes; ``Tape.backward`` walks the
 nodes in reverse creation order (a valid topological order by construction)
 and accumulates gradients in that fixed order, so repeated runs are
-bitwise identical. Each op takes only the shapes the cascade gives it:
-``ffnn`` (one fused node) maps (n, d) rows to (n, w) rows and ``linear``
-maps those to (n,) scores; ``softmax`` runs over a vector or along one
-axis of a matrix, ``segment_softmax`` along each run of a matrix's
-columns; ``logsumexp`` maps (n,) to a scalar; ``matmul`` takes 1-D or 2-D
-operands, ``segment_matmul`` multiplies each column run of one matrix by
-the matching row run of another; ``add`` takes equal shapes, matrix + bias
-row or anything + scalar; ``scale``, ``relu`` and ``dropout`` are
-elementwise; ``transpose``, ``concat``, ``hstack``, ``tile_rows``,
-``sum_rows``, ``gather`` and ``segment_sum`` move entries and rows. A tape
-built with ``record=False`` runs the same operations for inference without
-keeping any node.
+bitwise identical. The ops are the ones the cascade calls, each taking
+only the shapes it gives them: ``ffnn`` (one fused node, dropout
+included) maps (n, d) rows to (n, w) rows and ``linear`` maps those to
+(n,) scores; ``softmax`` runs over a vector or along one axis of a matrix,
+``segment_softmax`` along each run of a matrix's columns; ``logsumexp``
+maps (n,) to a scalar; ``matmul`` takes 1-D or 2-D operands,
+``segment_matmul`` multiplies each column run of one matrix by the
+matching row run of another; ``add`` takes equal shapes, matrix + bias row
+or anything + scalar; ``scale`` multiplies by a constant; ``transpose``,
+``concat``, ``hstack``, ``tile_rows``, ``gather`` and ``segment_sum`` move
+entries and rows. A tape built with ``record=False`` runs the same
+operations for inference without keeping any node.
 """
 
 from __future__ import annotations
@@ -212,12 +212,6 @@ def transpose(a: Tensor) -> Tensor:
     return a.tape._push(a.value.T, (a.idx,), lambda g: (g.T,))
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.value > 0
-    return a.tape._push(np.where(mask, a.value, 0.0), (a.idx,),
-                        lambda g: (g * mask,))
-
-
 def concat(xs: list[Tensor]) -> Tensor:
     """Join vectors end to end, or the rows of equal-width matrices."""
     if not xs:
@@ -273,15 +267,6 @@ def tile_rows(a: Tensor, n: int) -> Tensor:
                         (a.idx,), back)
 
 
-def sum_rows(a: Tensor) -> Tensor:
-    """Sum a matrix over its rows, returning a vector."""
-    if a.value.ndim != 2:
-        raise DimensionError(f"sum_rows expects a matrix, got shape {a.value.shape}")
-    n = a.value.shape[0]
-    return a.tape._push(a.value.sum(axis=0), (a.idx,),
-                        lambda g: (np.broadcast_to(g, (n, g.shape[0])),))
-
-
 def _check_row_ids(idx: Array, n: int, op: str) -> None:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise DimensionError(f"{op} row ids must lie in [0, {n}), got "
@@ -300,19 +285,14 @@ def _run_sizes(starts, n: int, op: str) -> tuple:
     return starts, sizes
 
 
-def _row_slots(idx: Array, width: int) -> Array:
-    """Flat (row, column) slots of rows ``idx`` of a C-ordered matrix of
-    ``width`` columns, row by row."""
-    return (idx[:, None] * width + np.arange(width)).ravel()
-
-
-def _scatter_add_rows(rows: Array, idx: Array, n: int) -> Array:
-    """out[idx[i]] += rows[i] over i in order, from zeros: np.add.at's sums,
-    computed by one bincount over flattened (row, column) slots."""
+def _add_rows(out: Array, idx: Array, rows: Array) -> Array:
+    """out[idx[i]] += rows[i] over i in order, in place, and return ``out``,
+    a C-contiguous matrix. np.add.at over the flat (row, column) slots adds
+    each slot's rows in row order; its 2-D form is several times slower."""
     width = rows.shape[1]
-    out = np.bincount(_row_slots(idx, width), weights=rows.ravel(),
-                      minlength=n * width)
-    return out.reshape(n, width)
+    slots = (idx[:, None] * width + np.arange(width)).ravel()
+    np.add.at(out.reshape(-1), slots, rows.ravel())
+    return out
 
 
 def gather(a: Tensor, idx) -> Tensor:
@@ -325,7 +305,8 @@ def gather(a: Tensor, idx) -> Tensor:
 
     def back(g):
         rows = g.reshape(idx.size, math.prod(shape[1:]))
-        return (_scatter_add_rows(rows, idx, shape[0]).reshape(shape),)
+        sums = np.zeros((shape[0], rows.shape[1]))
+        return (_add_rows(sums, idx, rows).reshape(shape),)
 
     return a.tape._push(a.value[idx], (a.idx,), back)
 
@@ -346,16 +327,15 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int,
             f"{a.value.shape[0]} rows but {segment_ids.shape[0]} segment ids"
         )
     _check_row_ids(segment_ids, num_segments, "segment_sum")
+    width = a.value.shape[1]
     if into is None:
-        out = _scatter_add_rows(a.value, segment_ids, num_segments)
+        out = _add_rows(np.zeros((num_segments, width)), segment_ids, a.value)
         return a.tape._push(out, (a.idx,), lambda g: (g[segment_ids],))
     _check_same_tape(a, into)
     out = into.value
-    width = a.value.shape[1]
     if out.shape != (num_segments, width) or not out.flags.c_contiguous:
         raise DimensionError(f"segment_sum into a sum of shape {out.shape}")
-    # np.add.at over the flat view adds each slot's rows in row order
-    np.add.at(out.reshape(-1), _row_slots(segment_ids, width), a.value.ravel())
+    _add_rows(out, segment_ids, a.value)
     return a.tape._push(out, (into.idx, a.idx), lambda g: (g, g[segment_ids]))
 
 
@@ -477,21 +457,13 @@ def dropout_mask(state: DropoutState | None, shape) -> Array | None:
     return (state.rng.random(shape) >= state.rate) / (1.0 - state.rate)
 
 
-def dropout(a: Tensor, state: DropoutState | None) -> Tensor:
-    """Zero units with probability ``rate``; kept units scale by 1/(1-rate)."""
-    mask = dropout_mask(state, a.value.shape)
-    if mask is None:
-        return a
-    return a.tape._push(a.value * mask, (a.idx,), lambda g: (g * mask,))
-
-
 # ---------------------------------------------------------------------------
 # parameter containers and the two building-block layers
 
 
 @dataclass
 class FfnnParams:
-    """Two-layer ReLU net h = relu(U @ relu(V @ x + a) + b).
+    """Two-layer ReLU net h = ReLU(U @ ReLU(V @ x + a) + b).
 
     V maps input-dim -> width, U maps width -> width. Fields hold plain
     arrays in storage form and tape Tensors once bound.
@@ -593,7 +565,7 @@ def ffnn(x: Tensor, p: FfnnParams, drop: DropoutState | None = None,
 
     def back(g):
         # same products, in the same order, as the unfused chain of
-        # matmul / add / relu / dropout nodes
+        # matmul / add / ReLU / dropout nodes
         if drop2 is not None:
             g = g * drop2
         g = g * on2

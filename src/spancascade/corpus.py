@@ -316,10 +316,7 @@ def load_examples(
                                  "is not text", line_number=lineno)
         question = tokenize(record["question"]).tokens
         if not question:
-            raise ContractError(
-                f"line {lineno}: question of example {record['id']!r} "
-                "has no tokens"
-            )
+            raise ParseError("question has no tokens", line_number=lineno)
         answers = record["answers"]
         if not answers:
             raise ParseError("empty answers array", line_number=lineno)

@@ -92,9 +92,6 @@ class EmbeddingTable:
     def __len__(self):
         return len(self._rows)
 
-    def __contains__(self, token: str) -> bool:
-        return token.lower() in self._rows
-
     @property
     def oov_bank(self) -> np.ndarray:
         return self._matrix[len(self._rows):]

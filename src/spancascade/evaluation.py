@@ -208,10 +208,11 @@ def evaluate(scorer, examples, k_max: int = 5) -> EvalReport:
         order = rank_candidates(scored)
         best = order[0]
         prediction = scored.candidates[best]
-        em = exact_match(prediction, aliases)
+        # the gold rule is symmetric: the aliases the prediction matches
+        hits = gold_indices(aliases, [prediction])
+        em = int(bool(hits))
+        matched = aliases[hits[0]] if hits else None
         f1 = token_f1(prediction, aliases)
-        # the rule is symmetric: the first alias the prediction matches
-        matched = aliases[gold_indices(aliases, [prediction])[0]] if em else None
         gold_set = set(scored.gold_ids)
         first_hit = next(
             (rank for rank, i in enumerate(order) if i in gold_set), None

@@ -327,6 +327,8 @@ def encode_example(example: QAExample, cands: CandidateSet,
     base = (tok_off + np.arange(len(docs)))[spans.doc]
     start = base + spans.start
     end = start + spans.length
+    mention_counts = np.zeros(len(cands.surfaces), dtype=np.intp)
+    np.add.at(mention_counts, spans.unique, 1)
     return EncodedExample(
         example_id=example.example_id,
         question=q_embed,
@@ -345,7 +347,7 @@ def encode_example(example: QAExample, cands: CandidateSet,
         gold_spans=np.flatnonzero(np.isin(spans.unique, cands.gold_unique_ids)),
         gold_uniques=cands.gold_unique_ids,
         unique_surfaces=cands.surfaces,
-        mention_counts=np.bincount(spans.unique, minlength=len(cands.surfaces)),
+        mention_counts=mention_counts,
     )
 
 

@@ -159,25 +159,3 @@ def make_multimention_corpus(n_train: int = 60, n_heldout: int = 50,
         _multimention_example(rng, i, "mm-heldout") for i in range(n_heldout)
     ]
     return train, heldout
-
-
-_WORD_POOL = ENTITIES + CUES + FILLERS + [
-    w for w in TEMPLATE_WORDS if w not in (".", "?")
-]
-
-
-def random_example(rng: np.random.Generator, idx: int = 0) -> QAExample:
-    """Unstructured random instance (for distribution-normalization audits)."""
-    n_sent = int(rng.integers(1, 5))
-    sentences = []
-    all_words = []
-    for _ in range(n_sent):
-        k = int(rng.integers(2, 9))
-        words = [_WORD_POOL[int(i)] for i in rng.integers(0, len(_WORD_POOL), k)]
-        all_words.extend(words)
-        sentences.append(" ".join(words) + " .")
-    doc = tokenize(" ".join(sentences))
-    m = int(rng.integers(1, 6))
-    question = [_WORD_POOL[int(i)] for i in rng.integers(0, len(_WORD_POOL), m)]
-    answer = all_words[int(rng.integers(0, len(all_words)))]
-    return QAExample(f"rand-{idx}", question, [doc], [answer])

@@ -337,14 +337,11 @@ def train(examples, config: TrainConfig, table, out_dir=None,
             enc = prepared[int(idx)]
             tape = Tape()
             bound = params.bind(tape)
-            if config.dropout > 0.0:
-                drop = DropoutState(
-                    config.dropout,
-                    np.random.default_rng((config.seed, epoch, step)),
-                    training=True,
-                )
-            else:
-                drop = DropoutState.off()
+            drop = DropoutState(
+                config.dropout,
+                np.random.default_rng((config.seed, epoch, step)),
+                training=True,
+            )
             # a diverging run is reported by backward or adagrad_step
             with np.errstate(over="ignore", invalid="ignore"):
                 scores = forward_cascade(tape, bound, enc, drop)

@@ -63,6 +63,28 @@ def test_gradient_oracle_full_cascade():
 # 2. normalization suite
 
 
+_WORD_POOL = synth.ENTITIES + synth.CUES + synth.FILLERS + [
+    w for w in synth.TEMPLATE_WORDS if w not in (".", "?")
+]
+
+
+def random_example(rng: np.random.Generator, idx: int = 0) -> QAExample:
+    """Unstructured random instance (for distribution-normalization audits)."""
+    n_sent = int(rng.integers(1, 5))
+    sentences = []
+    all_words = []
+    for _ in range(n_sent):
+        k = int(rng.integers(2, 9))
+        words = [_WORD_POOL[int(i)] for i in rng.integers(0, len(_WORD_POOL), k)]
+        all_words.extend(words)
+        sentences.append(" ".join(words) + " .")
+    doc = tokenize(" ".join(sentences))
+    m = int(rng.integers(1, 6))
+    question = [_WORD_POOL[int(i)] for i in rng.integers(0, len(_WORD_POOL), m)]
+    answer = all_words[int(rng.integers(0, len(all_words)))]
+    return QAExample(f"rand-{idx}", question, [doc], [answer])
+
+
 def test_every_softmax_sums_to_one_on_100_random_instances(softmax_spy):
     table = synth.make_table(embed_dim=8, seed=7)
     arch = model.Architecture(embed_dim=8, hidden_width=8)
@@ -70,7 +92,7 @@ def test_every_softmax_sums_to_one_on_100_random_instances(softmax_spy):
     checked = 0
     instances = 0
     while instances < 100:
-        example = synth.random_example(rng, instances)
+        example = random_example(rng, instances)
         cands = build_candidates(example, arch.span_limit)
         if not cands.spans:
             continue

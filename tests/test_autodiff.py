@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from tape_oracle import dropout, relu, sum_rows
 
 from spancascade import autodiff as ad
 from spancascade.errors import (
@@ -223,7 +224,7 @@ def test_backward_deterministic_bitwise():
         tape = ad.Tape()
         x = tape.variable(rng.normal(size=(4, 3)), "x")
         w = tape.variable(rng.normal(size=(3, 3)), "w")
-        out = ad.logsumexp(ad.sum_rows(ad.relu(ad.matmul(x, w))))
+        out = ad.logsumexp(sum_rows(relu(ad.matmul(x, w))))
         grads = tape.backward(out)
         return out.value.copy(), {k: v.copy() for k, v in grads.items()}
 
@@ -256,7 +257,7 @@ def _random_op_check(build, sizes, seed, eps=1e-5, tol=1e-4):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradients_matmul_relu_chain(seed):
     _random_op_check(
-        lambda t, p: ad.logsumexp(ad.sum_rows(ad.relu(ad.matmul(p["x"], p["w"])))),
+        lambda t, p: ad.logsumexp(sum_rows(relu(ad.matmul(p["x"], p["w"])))),
         {"x": (4, 3), "w": (3, 5)}, seed)
 
 
@@ -273,7 +274,7 @@ def test_gradients_segment_and_gather(seed):
     def build(tape, p):
         seg = ad.segment_sum(p["x"], np.array([0, 1, 0, 2]), 3)
         picked = ad.gather(seg, np.array([2, 0]))
-        return ad.logsumexp(ad.gather(ad.sum_rows(picked), np.array([0, 1])))
+        return ad.logsumexp(ad.gather(sum_rows(picked), np.array([0, 1])))
 
     _random_op_check(build, {"x": (4, 2)}, seed)
 
@@ -286,7 +287,7 @@ def test_gradients_attention_style(seed):
         cols = ad.softmax(eta, axis=0)
         mix = ad.add(ad.matmul(rows, p["d"]),
                      ad.matmul(ad.transpose(cols), p["q"]))
-        return ad.logsumexp(ad.sum_rows(mix))
+        return ad.logsumexp(sum_rows(mix))
 
     _random_op_check(build, {"q": (3, 4), "d": (3, 4)}, seed)
 
@@ -382,7 +383,7 @@ def test_gradients_fused_ffnn_with_dropout(x_shape):
         net = ad.FfnnParams(leaves["V"], leaves["a"], leaves["U"], leaves["b"])
         drop = ad.DropoutState(0.3, np.random.default_rng(11), training=True)
         out = ad.ffnn(leaves["x"], net, drop)
-        return ad.logsumexp(ad.sum_rows(out))
+        return ad.logsumexp(sum_rows(out))
 
     res = ad.finite_difference_check(loss_fn, arrays)
     assert res.max_rel_error < 1e-4, res
@@ -402,11 +403,11 @@ def test_fused_ffnn_equals_unfused_chain_bitwise(x_shape):
             net = ad.FfnnParams(p["V"], p["a"], p["U"], p["b"])
             out = ad.ffnn(p["x"], net, drop)
         else:
-            h = ad.dropout(ad.relu(ad.add(
+            h = dropout(relu(ad.add(
                 ad.matmul(p["x"], ad.transpose(p["V"])), p["a"])), drop)
-            out = ad.dropout(ad.relu(ad.add(
+            out = dropout(relu(ad.add(
                 ad.matmul(h, ad.transpose(p["U"])), p["b"])), drop)
-        root = ad.logsumexp(ad.sum_rows(out))
+        root = ad.logsumexp(sum_rows(out))
         return out.value, tape.backward(root), tape.stats.macs, len(tape)
 
     fused, chain = run(True), run(False)
@@ -431,7 +432,7 @@ def test_tape_with_gathers_and_stacks_is_freed_without_cyclic_gc():
         tape = ad.Tape()
         x = tape.variable(np.arange(6.0).reshape(3, 2), "x")
         v = tape.variable(np.arange(3.0), "v")
-        rows = ad.concat([ad.sum_rows(ad.gather(x, [0, 2])),
+        rows = ad.concat([sum_rows(ad.gather(x, [0, 2])),
                           ad.gather(v, [1, 2])])
         grads = tape.backward(ad.logsumexp(rows))
         assert set(grads) == {"x", "v"}
@@ -454,10 +455,9 @@ def test_segment_sum_matches_sequential_add_at_bitwise():
     assert got.tobytes() == expect.tobytes()
 
 
-@pytest.mark.parametrize("record", [True, False])
-def test_segment_sum_into_matches_sequential_loop_bitwise(record):
-    """Chained calls, whose ids repeat within and across calls, add each
-    row in call and row order, as a plain loop does."""
+def _repeating_row_blocks():
+    """Three blocks of rows, 16 decades apart in size, whose ids repeat within
+    and across blocks, and the sums a plain loop adds them into."""
     rng = np.random.default_rng(6)
     calls = [np.array(ids) for ids in
              ([2, 0, 2, 5], [5, 2, 2, 1, 0, 5], [0, 0, 3, 2])]
@@ -467,6 +467,14 @@ def test_segment_sum_into_matches_sequential_loop_bitwise(record):
     for ids, block in zip(calls, rows):
         for i, row in zip(ids, block):
             expect[i] += row
+    return calls, rows, expect
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_segment_sum_into_matches_sequential_loop_bitwise(record):
+    """Chained calls, whose ids repeat within and across calls, add each
+    row in call and row order, as a plain loop does."""
+    calls, rows, expect = _repeating_row_blocks()
     tape = ad.Tape(record=record)
     summed = None
     for ids, block in zip(calls, rows):
@@ -477,13 +485,29 @@ def test_segment_sum_into_matches_sequential_loop_bitwise(record):
                        into=tape.constant(np.zeros((7, 6)).T))
 
 
+@pytest.mark.parametrize("op", ["segment_sum", "gather_backward"])
+def test_row_sums_match_sequential_loop_bitwise(op):
+    """segment_sum's first call and gather's backward add rows whose ids
+    repeat in row order, as a plain loop does."""
+    calls, rows, expect = _repeating_row_blocks()
+    ids, block = np.concatenate(calls), np.concatenate(rows)
+    tape = ad.Tape()
+    if op == "segment_sum":
+        got = ad.segment_sum(tape.constant(block), ids, 6).value
+    else:
+        picked = ad.gather(tape.variable(np.zeros((6, 7))), ids)
+        # the recorded backward, handed the rows as the gradient of the pick
+        (got,) = tape._backwards[picked.idx](block)
+    assert got.tobytes() == expect.tobytes()
+
+
 @pytest.mark.parametrize("op", [
     lambda x: ad.gather(x, [0, 3]),
     lambda x: ad.gather(x, [-1]),
     lambda x: ad.segment_sum(x, [0, 1, 3], 3),
     lambda x: ad.segment_sum(x, [0, -1, 2], 3),
-    lambda x: ad.gather(ad.sum_rows(ad.transpose(x)), [-1]),
-    lambda x: ad.gather(ad.sum_rows(ad.transpose(x)), [3]),
+    lambda x: ad.gather(sum_rows(ad.transpose(x)), [-1]),
+    lambda x: ad.gather(sum_rows(ad.transpose(x)), [3]),
 ])
 def test_row_ids_out_of_range_raise(op):
     with pytest.raises(DimensionError):
@@ -511,7 +535,7 @@ def test_value_consumed_only_by_hstack_is_freed_while_tape_lives():
     out = ad.hstack([mid, x])
     del mid
     assert ref() is None
-    grads = tape.backward(ad.logsumexp(ad.sum_rows(out)))
+    grads = tape.backward(ad.logsumexp(sum_rows(out)))
     assert grads["x"].shape == (2, 3)
 
 
@@ -530,11 +554,11 @@ def test_dropout_inverted_scaling_and_inference_identity():
     tape = ad.Tape()
     x = tape.constant(np.ones((200, 10)))
     state = ad.DropoutState(0.25, np.random.default_rng(1), training=True)
-    y = ad.dropout(x, state)
+    y = dropout(x, state)
     kept = y.value[y.value > 0]
     np.testing.assert_allclose(kept, 1.0 / 0.75)
     assert 0.6 < (y.value > 0).mean() < 0.9
-    off = ad.dropout(x, ad.DropoutState.off())
+    off = dropout(x, ad.DropoutState.off())
     assert off is x  # identity at inference
 
 
@@ -589,7 +613,7 @@ def test_tile_rows_and_sum_rows_roundtrip():
     v = tape.variable(np.array([1.0, 2.0, 3.0]), "v")
     tiled = ad.tile_rows(v, 4)
     assert tiled.value.shape == (4, 3)
-    out = ad.logsumexp(ad.sum_rows(tiled))
+    out = ad.logsumexp(sum_rows(tiled))
     grads = tape.backward(out)
     assert grads["v"].shape == (3,)
     assert np.all(np.isfinite(grads["v"]))

@@ -170,6 +170,25 @@ def test_train_non_string_corpus_field_is_io_error(tmp_path, corpus_path,
     assert f"line 1: field '{field}' must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_corpus_question_without_tokens_is_io_error(tmp_path, corpus_path,
+                                                    embeddings_path,
+                                                    trained_dir, command,
+                                                    capsys):
+    data = tmp_path / "corpus.jsonl"
+    with open(corpus_path) as fh:
+        record = json.loads(fh.readline())
+    data.write_text(json.dumps({**record, "question": "   "}) + "\n")
+    if command == "train":
+        args = ["--dim", "8", "--out", str(tmp_path / "out")]
+    else:
+        args = ["--checkpoint", str(trained_dir / "checkpoint.ckpt")]
+    code = main([command, "--data", str(data), "--embeddings", embeddings_path,
+                 *args])
+    assert code == EXIT_IO
+    assert "line 1: question has no tokens" in capsys.readouterr().err
+
+
 def test_eval_bad_checkpoint(tmp_path, corpus_path, embeddings_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")

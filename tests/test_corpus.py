@@ -395,7 +395,7 @@ def test_load_examples_errors():
         load_examples(io.StringIO("not json\n"))
     with pytest.raises(ParseError, match="missing field"):
         load_examples(io.StringIO('{"id": "x", "question": "q"}\n'))
-    with pytest.raises(ContractError):
+    with pytest.raises(ParseError, match="line 1: question has no tokens"):
         load_examples(io.StringIO('{"id": "x", "question": "", '
                                   '"documents": ["d"], "answers": ["a"]}\n'))
     with pytest.raises(ParseError, match="empty answers"):

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from tape_oracle import sum_rows
 
 from spancascade import autodiff as ad
 from spancascade import bench, blas, synth
@@ -207,8 +208,8 @@ def oracle_attention(q, q_projected, g, bound, drop=None):
     q_attended = ad.matmul(align_q, g)               # (m, e)
     g_attended = ad.matmul(ad.transpose(align_g), q)  # (G, e)
     att2 = bound.nets["ffnn_att2"]
-    q_bar = ad.sum_rows(ad.ffnn(ad.hstack([q, q_attended]), att2, drop))
-    g_bar = ad.sum_rows(ad.ffnn(ad.hstack([g, g_attended]), att2, drop))
+    q_bar = sum_rows(ad.ffnn(ad.hstack([q, q_attended]), att2, drop))
+    g_bar = sum_rows(ad.ffnn(ad.hstack([g, g_attended]), att2, drop))
     return q_bar, g_bar
 
 
