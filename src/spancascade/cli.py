@@ -68,10 +68,10 @@ def _int_list(flag: str, text: str) -> list:
                          f"got {text!r}") from None
 
 
-def _load_table(path, dimension, seed):
+def _load_table(path, dimension):
     if not os.path.exists(path):
         raise DataError(f"embeddings file not found: {path}")
-    return load_embeddings(path, dimension, seed)
+    return load_embeddings(path, dimension)
 
 
 def _load_corpus(path, config):
@@ -106,7 +106,7 @@ def cmd_train(args) -> int:
 
     config = _resolve_train_config(args)
     _echo_config(config.as_flat_dict())
-    table = _load_table(args.embeddings, args.dim, config.seed)
+    table = _load_table(args.embeddings, args.dim)
     examples = _load_corpus(args.data, config)
     result = train(examples, config, table, out_dir=args.out,
                    log=lambda msg: print(msg))
@@ -121,7 +121,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     limits = _int_list("--truncate", args.truncate)
     params = load_checkpoint(args.checkpoint)
-    table = _load_table(args.embeddings, params.arch.embed_dim, args.table_seed)
+    table = _load_table(args.embeddings, params.arch.embed_dim)
     _echo_config({
         "checkpoint": args.checkpoint, "data": args.data, "topk": args.topk,
         "truncate": args.truncate, "mode": args.mode,
@@ -163,7 +163,7 @@ def cmd_predict(args) -> int:
     if not question:
         raise UsageError("question has no tokens")
     params = load_checkpoint(args.checkpoint)
-    table = _load_table(args.embeddings, params.arch.embed_dim, args.table_seed)
+    table = _load_table(args.embeddings, params.arch.embed_dim)
     if not os.path.exists(args.document):
         raise DataError(f"document file not found: {args.document}")
     with open_text(args.document) as fh:
@@ -207,8 +207,7 @@ def cmd_gradcheck(args) -> int:
                          f"got {args.threshold}")
     example, table = synth.gradcheck_instance(embed_dim=args.dim,
                                               seed=args.table_seed)
-    config = TrainConfig(hidden_width=args.hidden, dropout=0.0,
-                         seed=args.seed)
+    config = TrainConfig(hidden_width=args.hidden, dropout=0.0)
     arch = config.arch(table.dimension)
     params = CascadeParams.initialize(arch, args.seed)
     enc = prepare_example(example, table, arch)
@@ -259,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--table-seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.add_argument("--topk", type=int, default=5)
     p.add_argument("--truncate", default=str(corpus.DEFAULT_MAX_TOKENS),
@@ -270,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="answer one question over one document")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--table-seed", type=int, default=0)
     p.add_argument("--question", required=True)
     p.add_argument("--document", required=True, help="plain-text file")
     p.add_argument("--truncate", type=int, default=corpus.DEFAULT_MAX_TOKENS)

@@ -2,9 +2,9 @@
 
 Vectors are loaded from the common text interchange format (one token per
 line followed by whitespace-separated decimals), unit-normalized, and never
-updated. Tokens missing from the vocabulary map onto a bank of 1000 fixed
+updated. Tokens missing from the vocabulary map onto one fixed bank of 1000
 random vectors via FNV-1a hashing, so the same token always gets the same
-vector across runs and platforms.
+vector across tables, runs and platforms.
 """
 
 from __future__ import annotations
@@ -32,14 +32,10 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def oov_bucket(token: str, seed: int) -> int:
-    """Bucket in [0, 1000) for an out-of-vocabulary token.
-
-    The table seed is mixed in as 8 little-endian bytes ahead of the
-    UTF-8 token bytes, so different tables shuffle tokens differently.
-    """
-    data = (seed & _MASK64).to_bytes(8, "little") + token.encode("utf-8")
-    return fnv1a64(data) % OOV_BANK_SIZE
+def oov_bucket(token: str) -> int:
+    """Bucket in [0, 1000) for an out-of-vocabulary token: FNV-1a over 8
+    zero bytes, then the token's UTF-8 bytes."""
+    return fnv1a64(bytes(8) + token.encode("utf-8")) % OOV_BANK_SIZE
 
 
 class EmbeddingTable:
@@ -49,13 +45,12 @@ class EmbeddingTable:
     is token i's; tokens case-fold to lowercase and a repeated one keeps
     its first row. One read-only (V + 1000, e) float64 matrix holds the V
     vocabulary rows, L2-normalized, then the OOV bank, drawn from N(0, 1)
-    with the table seed and kept unnormalized; a dict maps each lowercased
-    token to its row. Safe for unrestricted concurrent reads.
+    by ``default_rng(0)`` and kept unnormalized, so every table of one
+    dimension has the same bank; a dict maps each lowercased token to its
+    row. Safe for unrestricted concurrent reads.
     """
 
-    def __init__(self, tokens, vectors, seed: int = 0):
-        if seed < 0:
-            raise ContractError(f"table seed must be >= 0, got {seed}")
+    def __init__(self, tokens, vectors):
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or len(vectors) != len(tokens):
             raise DataError(f"vectors have shape {vectors.shape}, expected "
@@ -63,12 +58,11 @@ class EmbeddingTable:
         self.dimension = vectors.shape[1]
         if self.dimension < 1:
             raise ContractError(f"dimension must be positive, got {self.dimension}")
-        self.seed = int(seed)
         first: dict[str, int] = {}  # lowercased token -> index of its first row
         for i, token in enumerate(tokens):
             first.setdefault(token.lower(), i)
         index = list(first.values())
-        bank = np.random.default_rng(self.seed).standard_normal(
+        bank = np.random.default_rng(0).standard_normal(
             (OOV_BANK_SIZE, self.dimension))
         matrix = np.concatenate([vectors[index], bank])
         vocab = matrix[:len(index)]
@@ -101,7 +95,7 @@ class EmbeddingTable:
             raise ContractError("lookup of an empty token")
         key = token.lower()
         row = self._rows.get(key)
-        return len(self._rows) + oov_bucket(key, self.seed) if row is None else row
+        return len(self._rows) + oov_bucket(key) if row is None else row
 
     def lookup(self, token: str) -> np.ndarray:
         """Vector for a token; OOV tokens hash into the fixed bank."""
@@ -116,7 +110,7 @@ class EmbeddingTable:
         return self._matrix[[rows[key] for key in keys]]
 
 
-def load_embeddings(source, dimension: int, seed: int = 0) -> EmbeddingTable:
+def load_embeddings(source, dimension: int) -> EmbeddingTable:
     """Parse `token v1 ... v_dimension` lines into an EmbeddingTable.
 
     ``source`` is a path (``str`` or ``os.PathLike``), which is opened as
@@ -131,7 +125,7 @@ def load_embeddings(source, dimension: int, seed: int = 0) -> EmbeddingTable:
         raise ContractError(f"dimension must be positive, got {dimension}")
     if isinstance(source, (str, os.PathLike)):
         with open_text(source) as fh:
-            return load_embeddings(fh, dimension, seed)
+            return load_embeddings(fh, dimension)
     tokens, rows = [], []
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
@@ -149,16 +143,16 @@ def load_embeddings(source, dimension: int, seed: int = 0) -> EmbeddingTable:
             raise ParseError(f"non-finite value for token {parts[0]!r}",
                              line_number=lineno)
         tokens.append(parts[0])
-    return EmbeddingTable(tokens, np.reshape(rows, (len(rows), dimension)), seed)
+    return EmbeddingTable(tokens, np.reshape(rows, (len(rows), dimension)))
 
 
 def random_table(tokens, dimension: int, seed: int = 0) -> EmbeddingTable:
     """In-vocabulary table with seeded random unit vectors for each token.
 
-    One (len(tokens), dimension) standard-normal draw, row i for
-    ``tokens[i]``; a repeated token keeps its first row. Used by the
-    synthetic corpora so that no two tokens collide the way OOV bank
-    buckets can.
+    One (len(tokens), dimension) standard-normal draw from
+    ``default_rng(seed)``, row i for ``tokens[i]``; a repeated token keeps
+    its first row. The OOV bank is the fixed one. Used by the synthetic
+    corpora so that no two tokens collide the way OOV bank buckets can.
     """
     if dimension < 1:
         raise ContractError(f"dimension must be positive, got {dimension}")
@@ -166,4 +160,4 @@ def random_table(tokens, dimension: int, seed: int = 0) -> EmbeddingTable:
         raise ContractError(f"table seed must be >= 0, got {seed}")
     tokens = list(tokens)
     vectors = np.random.default_rng(seed).standard_normal((len(tokens), dimension))
-    return EmbeddingTable(tokens, vectors, seed)
+    return EmbeddingTable(tokens, vectors)

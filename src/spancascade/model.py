@@ -436,8 +436,8 @@ def sentence_summaries(tape: Tape, q: Tensor, enc: EncodedExample,
         starts = np.cumsum(group_sizes) - group_sizes
         project, compare = own.nets["ffnn_att1"], own.nets["ffnn_att2"]
         att1, att2_q, att2_g = _attention_masks(drop, group_sizes, m, w)
-        g = own_tape.constant(np.concatenate(
-            [enc.doc_embed[s:e] for s, e in enc.sentence_ranges[lo:hi]]))
+        ranges = enc.sentence_ranges  # sentences tile the tokens, so one slice
+        g = own_tape.constant(enc.doc_embed[ranges[lo][0]:ranges[hi - 1][1]])
         g_projected = ffnn(g, project, masks=att1)
         eta = ad.matmul(_on(own_tape, q_projected),
                         ad.transpose(g_projected))  # (m, N)

@@ -119,6 +119,8 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 0:
             raise ContractError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
         for key in ("learning_rate", "accumulator_init"):

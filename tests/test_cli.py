@@ -1,19 +1,45 @@
 """Command-line surface: subcommands, exit codes, reproducibility."""
 
+import argparse
 import json
 import os
+import re
 
 import pytest
 
+from spancascade import cli
 from spancascade.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_UNANSWERABLE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
-from spancascade.model import load_checkpoint, save_checkpoint
+from spancascade.corpus import QAExample, load_examples, tokenize, truncate
+from spancascade.evaluation import evaluate, rank_candidates
+from spancascade.model import load_checkpoint, make_scorer, save_checkpoint
+
+
+def test_readme_synopsis_lists_every_option():
+    """README's Command line block names exactly the options that each
+    subcommand's parser defines."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    documented = {}
+    for usage in re.split(r"^spancascade ", block, flags=re.M)[1:]:
+        command, rest = usage.split(maxsplit=1)
+        documented[command] = set(re.findall(r"--[a-z-]+", rest))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    defined = {command: {option for action in sub._actions
+                         for option in action.option_strings
+                         if option.startswith("--")} - {"--help"}
+               for command, sub in subparsers.choices.items()}
+    assert documented == defined
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -30,6 +56,16 @@ def test_train_missing_embeddings_names_path(tmp_path, corpus_path, capsys):
                  "--dim", "8", "--out", str(tmp_path / "out")])
     assert code == EXIT_IO
     assert missing in capsys.readouterr().err
+
+
+def test_train_negative_seed_rejected_before_any_file_is_read(tmp_path,
+                                                              capsys):
+    missing = str(tmp_path / "nope.txt")
+    code = main(["train", "--data", missing, "--embeddings", missing,
+                 "--dim", "8", "--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "usage error: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])
@@ -223,6 +259,56 @@ def test_predict_answers_toy_question(tmp_path, embeddings_path, trained_dir,
     assert "answer:" in out and "score:" in out and "mentions:" in out
 
 
+def test_train_eval_predict_share_oov_vectors(tmp_path, corpus_path,
+                                              embeddings_path, monkeypatch,
+                                              capsys):
+    """A model trained with a non-zero seed is scored against the OOV vectors
+    it was trained with: every command loads the same bank."""
+    missing = {"boral", "prelt", "quost", "ramik", "sovel"}
+    vectors = tmp_path / "vectors.txt"
+    with open(embeddings_path) as fh:
+        vectors.write_text("".join(line for line in fh
+                                   if line.split()[0] not in missing))
+    tables, load = [], cli.load_embeddings
+
+    def capture(*args):
+        tables.append(load(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "load_embeddings", capture)
+    run, out = tmp_path / "run", tmp_path / "eval"
+    checkpoint = str(run / "checkpoint.ckpt")
+    assert main(["train", "--data", corpus_path, "--embeddings", str(vectors),
+                 "--dim", "8", "--out", str(run), "--seed", "3",
+                 "--set", "hidden_width=8", "--set", "epochs=3"]) == EXIT_OK
+    assert main(["eval", "--checkpoint", checkpoint, "--data", corpus_path,
+                 "--embeddings", str(vectors), "--out", str(out)]) == EXIT_OK
+    with open(corpus_path) as fh:
+        text = json.loads(fh.readline())["documents"][0]
+    doc = tmp_path / "doc.txt"
+    doc.write_text(text)
+    question = "which item holds the prelt ?"
+    capsys.readouterr()
+    assert main(["predict", "--checkpoint", checkpoint, "--embeddings",
+                 str(vectors), "--question", question,
+                 "--document", str(doc)]) == EXIT_OK
+    printed = capsys.readouterr().out
+
+    trained = tables[0]
+    assert len(tables) == 3
+    for table in tables[1:]:
+        assert (table.lookup_all(sorted(missing)).tobytes()
+                == trained.lookup_all(sorted(missing)).tobytes())
+    scorer = make_scorer(load_checkpoint(checkpoint), trained)
+    expected = evaluate(scorer, load_examples(corpus_path))
+    assert (out / "report.json").read_text() == expected.to_json()
+    scored = scorer(QAExample("predict", tokenize(question).tokens,
+                              [truncate(tokenize(text))], []))
+    best = rank_candidates(scored)[0]
+    assert f"answer: {scored.candidates[best]}\n" in printed
+    assert f"score: {scored.scores[best]:.6f}\n" in printed
+
+
 def _rewrite_header(src, dst, change):
     """Copy a checkpoint with its JSON header replaced by ``change(header)``."""
     data = src.read_bytes()
@@ -409,12 +495,10 @@ def _runnable(command, tmp_path, corpus_path, embeddings_path, trained_dir):
     (["gradcheck", "--dim", "0"], "dimension must be positive, got 0"),
     (["gradcheck", "--epsilon", "nan"], "epsilon must be positive and finite, "
                                         "got nan"),
-    (["train", "--seed", "-1"], "table seed must be >= 0, got -1"),
+    (["train", "--seed", "-1"], "usage error: seed must be >= 0, got -1"),
     (["gradcheck", "--seed", "-1"], "parameter seed must be >= 0, got -1"),
     (["gradcheck", "--table-seed", "-1"], "table seed must be >= 0, got -1"),
     (["bench", "--seed", "-1"], "parameter seed must be >= 0, got -1"),
-    (["predict", "--table-seed", "-1"], "table seed must be >= 0, got -1"),
-    (["eval", "--table-seed", "-1"], "table seed must be >= 0, got -1"),
     (["train", "--set", "learning_rate=nan"],
      "learning_rate must be positive and finite, got nan"),
     (["train", "--set", "learning_rate=inf"],
@@ -431,7 +515,7 @@ def _runnable(command, tmp_path, corpus_path, embeddings_path, trained_dir):
 ], ids=["truncate-word", "truncate-list", "lengths-list", "lengths-empty",
         "dim-negative", "dim-zero", "epsilon-nan", "train-seed",
         "gradcheck-seed", "gradcheck-table-seed", "bench-seed",
-        "predict-table-seed", "eval-table-seed", "learning-rate-nan",
+        "learning-rate-nan",
         "learning-rate-inf", "accumulator-init-nan", "threshold-nan",
         "threshold-inf", "max-tokens-zero", "max-sentence-len-negative"])
 def test_malformed_number_is_usage_error(args, message, tmp_path, corpus_path,

@@ -103,16 +103,33 @@ def test_lookup_case_folds():
 
 
 def test_oov_deterministic_and_from_bank():
-    table = load_embeddings(io.StringIO("a 1 0\n"), 2, seed=5)
+    table = load_embeddings(io.StringIO("a 1 0\n"), 2)
     v1 = table.lookup("zzz-not-there")
     v2 = table.lookup("zzz-not-there")
     assert v1.tobytes() == v2.tobytes()
-    bucket = oov_bucket("zzz-not-there", 5)
+    bucket = oov_bucket("zzz-not-there")
     np.testing.assert_array_equal(v1, table.oov_bank[bucket])
+    other = random_table(["b", "c"], 2, seed=5)
+    assert other.lookup("zzz-not-there").tobytes() == v1.tobytes()
+
+
+def test_oov_bank_is_fixed_and_buckets_keep_their_values():
+    """Every table draws its bank from default_rng(0), and the buckets are
+    the ones a seed-0 table always had, so seed-0 checkpoints stay valid."""
+    for dimension in (2, 16):
+        bank = np.random.default_rng(0).standard_normal((OOV_BANK_SIZE,
+                                                         dimension))
+        loaded = load_embeddings(io.StringIO(
+            "a " + " ".join(["1"] * dimension) + "\n"), dimension)
+        drawn = random_table(["x", "y"], dimension, seed=7)
+        assert loaded.oov_bank.tobytes() == bank.tobytes()
+        assert drawn.oov_bank.tobytes() == bank.tobytes()
+    tokens = [".", "?", "which", "zzz-not-there", "paris"]
+    assert [oov_bucket(t) for t in tokens] == [617, 782, 482, 6, 904]
 
 
 def test_oov_bank_standard_normal_not_renormalized():
-    table = EmbeddingTable([], np.empty((0, 300)), seed=1)
+    table = EmbeddingTable([], np.empty((0, 300)))
     bank = table.oov_bank
     assert bank.shape == (OOV_BANK_SIZE, 300)
     # N(0,1) coordinates: vector norms concentrate near sqrt(300), not 1
@@ -126,13 +143,13 @@ def test_oov_bucket_spread_hits_every_bucket():
     seen = set()
     for _ in range(10 ** 5):
         token = "".join(letters[i] for i in rng.integers(0, 26, size=8))
-        seen.add(oov_bucket(token, seed=0))
+        seen.add(oov_bucket(token))
     assert seen == set(range(OOV_BANK_SIZE))
 
 
 def test_two_tokens_can_share_bucket():
     # 1001 distinct tokens must collide somewhere in a 1000-slot bank
-    buckets = [oov_bucket(f"token-{i}", seed=0) for i in range(1001)]
+    buckets = [oov_bucket(f"token-{i}") for i in range(1001)]
     assert len(set(buckets)) < len(buckets)
 
 
@@ -193,7 +210,7 @@ def test_random_table_matches_per_token_reference(dimension):
     table = random_table(tokens, dimension, seed=11)
     reference = _per_token_vectors(len(tokens), dimension, seed=11)
     assert table.lookup_all(tokens).tobytes() == reference.tobytes()
-    bank = np.random.default_rng(11).standard_normal((OOV_BANK_SIZE, dimension))
+    bank = np.random.default_rng(0).standard_normal((OOV_BANK_SIZE, dimension))
     assert table.oov_bank.tobytes() == bank.tobytes()
 
 
@@ -219,9 +236,9 @@ def test_lookup_all_hashes_each_distinct_oov_token_once(monkeypatch):
     expected = np.stack([table.lookup(t) for t in tokens])
     hashed = []
 
-    def counting_bucket(token, seed):
+    def counting_bucket(token):
         hashed.append(token)
-        return oov_bucket(token, seed)
+        return oov_bucket(token)
 
     monkeypatch.setattr(embeddings, "oov_bucket", counting_bucket)
     assert table.lookup_all(tokens).tobytes() == expected.tobytes()
