@@ -4,11 +4,11 @@ The baseline is a forward-only 50-state bidirectional LSTM with two linear
 position heads; its token loop is inherently sequential per direction, so
 no amount of parallel hardware can help it. The cascade side is
 ``score_example``, whose span and sentence stages are batched matrix work;
-its two-thread pool scores the two halves of each span chunk at once.
-Timings use medians over
-repetitions with a discarded warmup run; multiply-accumulate counts are
-deterministic. The cascade's peak memory is the ``tracemalloc`` peak (numpy
-reports its arrays to it) of one untimed pass.
+the calling thread and a one-thread pool score the two halves of each large
+chunk at once. Timings use medians over repetitions with a discarded warmup
+run; multiply-accumulate counts are deterministic. The cascade's peak
+memory is the ``tracemalloc`` peak (numpy reports its arrays to it) of one
+untimed pass.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ so the working set is the O(n e) prefix sums, the O(U w) level-3 sums,
 O(S) indices and scores, and a few chunks' features and activations.
 Inference holds OpenBLAS to one thread (``blas.one_thread``) and splits
 each large span chunk, sentence group or level-3 chunk into two fixed
-halves, which a two-thread pool scores while the next pieces wait queued;
-training runs its chunks serially on BLAS's threads.
+halves: the calling thread scores the first while a one-thread pool scores
+the second; training runs its chunks serially on BLAS's threads.
 """
 
 from __future__ import annotations
@@ -483,10 +483,6 @@ def _on(tape: Tape, x: Tensor) -> Tensor:
 # interpreter lock.
 _POOL_MIN_WORK = 16_000_000
 
-# pooled pieces a caller keeps submitted and not yet taken: on the
-# two-thread pool, two running and one queued
-_AHEAD = 3
-
 
 def _pieces(tape: Tape, bound: CascadeParams, chunks: list, offsets, work,
             pool=None):
@@ -497,32 +493,27 @@ def _pieces(tape: Tape, bound: CascadeParams, chunks: list, offsets, work,
     A chunk runs whole on ``tape`` itself unless the tape does not record,
     ``pool`` (an executor) is given, the chunk holds two items or more and
     its rows reach _POOL_MIN_WORK: then it splits, at the first item
-    boundary at or past the middle of its rows, into two halves that run on
-    the pool, each on a non-recording tape of its own whose MACs ``tape``
-    then counts. Pooled pieces are submitted ahead, across chunks,
-    at most _AHEAD of them not yet taken; the caller takes them in order.
+    boundary at or past the middle of its rows. The calling thread scores
+    the first half on ``tape``; the pool scores the second on a
+    non-recording tape of its own, whose MACs ``tape`` then counts. When a
+    split chunk starts, the second half of the next one is submitted, so
+    the pool does not wait while the caller uses the pieces it was given.
     The pieces depend on the input's shape alone, not on the pool's size.
-    When the generator is closed or a piece raises, queued pieces are
-    cancelled and running ones waited for, so none outlives the caller's
-    hold on BLAS. ``work`` must not submit to the pool: with every pool
-    thread waiting on its own submissions, the pool would deadlock.
+    When the generator is closed or a piece raises, a queued half is
+    cancelled and a running one waited for, so none outlives the caller's
+    hold on BLAS. ``work`` must not submit to the pool: with the pool
+    thread waiting on its own submission, the pool would deadlock.
     """
     arch = bound.arch
     row_work = arch.hidden_width * (arch.embed_dim + arch.hidden_width)
-    plan = []  # (lo, hi, pooled)
+    plan = []  # (lo, mid, hi): the caller scores [lo, mid), the pool the rest
     for lo, hi in chunks:
-        if (pool is None or tape.record or hi - lo < 2
-                or (offsets[hi] - offsets[lo]) * row_work < _POOL_MIN_WORK):
-            plan.append((lo, hi, False))
-            continue
-        mid = bisect.bisect_left(offsets, (offsets[lo] + offsets[hi]) / 2,
-                                 lo + 1, hi - 1)
-        plan += [(lo, mid, True), (mid, hi, True)]
-    ahead = [(i, lo, hi) for i, (lo, hi, pooled) in enumerate(plan) if pooled]
-    if not ahead:  # nothing to pool: spare small examples the scheduler
-        for lo, hi, _ in plan:
-            yield lo, hi, work(tape, bound, lo, hi)
-        return
+        mid = hi
+        if (pool is not None and not tape.record and hi - lo >= 2 and (
+                offsets[hi] - offsets[lo]) * row_work >= _POOL_MIN_WORK):
+            mid = bisect.bisect_left(offsets, (offsets[lo] + offsets[hi]) / 2,
+                                     lo + 1, hi - 1)
+        plan.append((lo, mid, hi))
     errors = np.geterr()  # numpy's error state is per thread
 
     def run(lo, hi):
@@ -530,22 +521,23 @@ def _pieces(tape: Tape, bound: CascadeParams, chunks: list, offsets, work,
         with np.errstate(**errors):
             return own, work(own, _rebind(bound, own), lo, hi)
 
-    unsubmitted, pending = iter(ahead), {}  # pending: plan index -> future
+    # each step of this submits the next split chunk's second half
+    halves = (pool.submit(run, mid, hi) for _, mid, hi in plan if mid < hi)
+    taken, ahead = None, next(halves, None)
     try:
-        for i, (lo, hi, pooled) in enumerate(plan):
-            for j, a, b in itertools.islice(unsubmitted,
-                                            _AHEAD - len(pending)):
-                pending[j] = pool.submit(run, a, b)
-            if not pooled:
-                yield lo, hi, work(tape, bound, lo, hi)
-                continue
-            own, out = pending.pop(i).result()
-            tape.stats.macs += own.stats.macs
-            yield lo, hi, out
-    finally:  # pieces are left pending by an error or an early close
-        for future in pending.values():
+        for lo, mid, hi in plan:
+            if mid < hi:
+                taken, ahead = ahead, next(halves, None)
+            yield lo, mid, work(tape, bound, lo, mid)
+            if mid < hi:
+                own, out = taken.result()
+                tape.stats.macs += own.stats.macs
+                yield mid, hi, out
+    finally:  # an error or an early close leaves halves submitted
+        futures = [future for future in (taken, ahead) if future]
+        for future in futures:
             future.cancel()
-        wait(pending.values())
+        wait(futures)
 
 
 def _rebind(bound: CascadeParams, tape: Tape) -> CascadeParams:
@@ -563,14 +555,15 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
 
     The span stages (level 1, level 2 and level 3's mention transform) run
     over the row pieces of ``_pieces``, as do sentence attention's groups
-    and level 3's uniques; on a non-recording tape, ``pool`` runs the halves
-    of large chunks, two at a time. Each stage waits for the one before it.
-    The calling thread adds each piece's mention rows into one running sum
-    per unique, in span order, so level 3 gets the same bits whatever the
-    pieces; permuting a unique's mentions only reorders its sum. On a
-    recording tape sentence attention runs once, after level 1 of the
-    first chunk, so a one-chunk pass draws dropout masks level by level; a
-    non-recording one runs it before the span pieces.
+    and level 3's uniques; on a non-recording tape, ``pool`` runs the second
+    half of each large chunk while the calling thread runs the first. Each
+    stage waits for the one before it. The calling thread adds each piece's
+    mention rows into one running sum per unique, in span order, so level 3
+    gets the same bits whatever the pieces; permuting a unique's mentions
+    only reorders its sum. On a recording tape sentence attention runs
+    once, after level 1 of the first chunk, so a one-chunk pass draws
+    dropout masks level by level; a non-recording one runs it before the
+    span pieces.
     """
     arch = bound.arch
     S = enc.n_spans
@@ -701,14 +694,14 @@ def predict(scores: CascadeScores, enc: EncodedExample) -> Prediction | None:
 # inference
 
 
-# process id -> the two-thread pool of score_example; keyed by process so
+# process id -> the one-thread pool of score_example; keyed by process so
 # that a forked child, which inherits no threads, starts a pool of its own
 _POOLS = {}
 
 
 def _inference_pool() -> ThreadPoolExecutor:
     pool = _POOLS.get(os.getpid())
-    return pool or _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(2))
+    return pool or _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(1))
 
 
 def score_example(params: CascadeParams, enc: EncodedExample,
@@ -717,13 +710,14 @@ def score_example(params: CascadeParams, enc: EncodedExample,
     """Inference-mode scores: ``forward_cascade`` on a non-recording tape.
 
     No dropout and no recorded nodes. For the length of the call OpenBLAS
-    is held to one thread (``blas.one_thread``), and a two-thread pool
-    scores the halves of each chunk or sentence group that reaches
-    _POOL_MIN_WORK (see ``_pieces``); which chunks split depends on the
-    input's shape alone, so the bits depend on neither the pool nor the
-    BLAS thread count. Without the OpenBLAS thread-count symbol every chunk
-    runs whole and serially on BLAS's own threads. ``workers`` accepts 1
-    alone. Raises NonFiniteError on a non-finite score.
+    is held to one thread (``blas.one_thread``), and each chunk or sentence
+    group that reaches _POOL_MIN_WORK splits in two halves: the calling
+    thread scores the first, a one-thread pool the second (see
+    ``_pieces``). Which chunks split depends on the input's shape alone,
+    so the bits depend on neither the pool nor the BLAS thread count.
+    Without the OpenBLAS thread-count symbol every chunk runs whole and
+    serially on BLAS's own threads. ``workers`` accepts 1 alone. Raises
+    NonFiniteError on a non-finite score.
     """
     if workers != 1:
         raise ContractError(f"workers must be 1, got {workers}")

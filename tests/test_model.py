@@ -653,7 +653,8 @@ def print_threaded_case_scores():
 def test_inference_bytes_do_not_depend_on_pool_or_blas_threads():
     """score_example at OPENBLAS_NUM_THREADS=1 and =2 (subprocesses), and
     forward_cascade on pools of 1 and 2 threads, give the same score bytes
-    and MAC count; the pools run every span, unique and sentence piece."""
+    and MAC count; every span chunk, unique chunk and sentence group
+    splits, and the pools run the second halves."""
     params, enc = _threaded_case()
     assert len(mdl._chunk_ranges(enc.n_spans)) == 3
     assert len(mdl._chunk_ranges(enc.n_unique)) == 2
@@ -676,8 +677,8 @@ def test_inference_bytes_do_not_depend_on_pool_or_blas_threads():
         with blas.one_thread(), _CountingPool(size) as pool:
             scores = mdl.forward_cascade(tape, params.bind(tape), enc,
                                          stats=stats, pool=pool)
-        # two halves of every span chunk, unique chunk and sentence group
-        assert len(pool.futures) == 2 * (3 + 2 + 1)
+        # one half of every span chunk, unique chunk and sentence group
+        assert len(pool.futures) == 3 + 2 + 1
         runs.add((_digest(scores.values()), str(stats.macs)))
     assert len(runs) == 1, runs
 
@@ -694,9 +695,15 @@ class _CountingPool(ThreadPoolExecutor):
         return self.futures[-1]
 
 
+def _split_offsets(n: int) -> np.ndarray:
+    """Offsets over n items, each heavy enough that two split."""
+    return np.arange(n + 1) * mdl._POOL_MIN_WORK
+
+
 def test_pieces_close_cancels_queued_and_waits_for_running():
-    """Closing the piece generator early cancels the queued piece and
-    returns only once the running one has finished."""
+    """Closing the piece generator after the caller's first half, while the
+    pool runs the second, waits for that half and cancels the next chunk's
+    queued half."""
     params = mdl.CascadeParams.initialize(ARCH, 0)
     tape = ad.Tape(record=False)
     started, release, ran = threading.Event(), threading.Event(), []
@@ -708,42 +715,77 @@ def test_pieces_close_cancels_queued_and_waits_for_running():
             release.wait(timeout=60)
         return lo
 
-    # four chunks of two items, each heavy enough to split
-    offsets = np.arange(9) * mdl._POOL_MIN_WORK
     with _CountingPool(1) as pool:
         pieces = mdl._pieces(tape, params.bind(tape),
-                             [(0, 2), (2, 4), (4, 6), (6, 8)], offsets, work,
-                             pool)
+                             [(0, 2), (2, 4), (4, 6), (6, 8)],
+                             _split_offsets(8), work, pool)
         assert next(pieces)[:2] == (0, 1)
-        # the second piece runs, the third waits queued
+        # the second half runs, the next chunk's second half waits queued
         assert started.wait(timeout=60)
         timer = threading.Timer(0.2, release.set)
         timer.start()
         pieces.close()
-        assert release.is_set()  # close waited for the running piece
+        assert release.is_set()  # close waited for the running half
         timer.join()
         futures = pool.futures
-        assert len(futures) == mdl._AHEAD
+        assert len(futures) == 2
         assert all(f.done() for f in futures) and futures[-1].cancelled()
-    assert ran == [0, 1]
+    assert sorted(ran) == [0, 1]
+
+
+def test_pieces_caller_scores_first_halves_and_pool_the_second():
+    """A split chunk's first half runs on the calling thread, on its tape;
+    its second half on the pool's thread; an unsplit chunk on the caller."""
+    params = mdl.CascadeParams.initialize(ARCH, 0)
+    tape = ad.Tape(record=False)
+    caller, threads = threading.get_ident(), {}
+
+    def work(own_tape, own, lo, hi):
+        threads[lo] = (threading.get_ident(), own_tape is tape)
+        return lo
+
+    with _CountingPool(1) as pool:
+        pieces = [piece[:2] for piece in mdl._pieces(
+            tape, params.bind(tape), [(0, 2), (2, 3), (3, 5)],
+            _split_offsets(5), work, pool)]
+        assert len(pool.futures) == 2
+    assert pieces == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    pooled = (threads[1][0], False)
+    assert pooled[0] != caller
+    assert threads == {0: (caller, True), 1: pooled, 2: (caller, True),
+                       3: (caller, True), 4: pooled}
+
+
+def test_recording_forward_never_reaches_the_pool(toy, monkeypatch):
+    """Training's forward runs every chunk on its own tape even when each
+    chunk would split; a non-recording forward with the same pool splits."""
+    _, _, _, enc, params = toy
+    monkeypatch.setattr(mdl, "_POOL_MIN_WORK", 1)
+    with _CountingPool(1) as pool:
+        tape = ad.Tape()
+        mdl.forward_cascade(tape, params.bind(tape), enc, pool=pool)
+        assert pool.futures == []
+        tape = ad.Tape(record=False)
+        mdl.forward_cascade(tape, params.bind(tape), enc, pool=pool)
+        assert pool.futures
 
 
 def test_score_example_reraises_a_piece_error_and_leaves_no_piece(
         monkeypatch):
-    """The span stage's second pooled piece raises, with pieces of the
-    stage still running and queued: score_example re-raises, every piece
-    it submitted has finished or been cancelled, and the BLAS thread count
-    is restored."""
+    """The span stage's second pooled half raises while the next chunk's
+    half is submitted: score_example re-raises, every half it submitted has
+    finished or been cancelled, and the BLAS thread count is restored."""
     if not blas._thread_calls():
         pytest.skip("numpy's BLAS exports no OpenBLAS thread-count symbol")
     params, enc = _threaded_case()
     before = blas._thread_calls()[0]()
-    pool, calls = _CountingPool(2), []
+    pool, calls = _CountingPool(1), []
     rebind = mdl._rebind
 
     def failing_rebind(bound, tape):
         calls.append(None)
-        if len(calls) == 2 + 2:  # after sentence attention's two pieces
+        # after sentence attention's half and the span stage's first
+        if len(calls) == 1 + 2:
             raise RuntimeError("piece failed")
         return rebind(bound, tape)
 
