@@ -15,12 +15,15 @@ matching row run of another; ``add`` takes equal shapes, matrix + bias row
 or anything + scalar; ``scale`` multiplies by a constant; ``transpose``,
 ``concat``, ``hstack``, ``tile_rows``, ``gather`` and ``segment_sum`` move
 entries and rows. A tape built with ``record=False`` runs the same
-operations for inference without keeping any node.
+operations for inference without keeping any node; its one piece of
+mutable state is the MAC count, taken under a lock, so threads may score
+on it at once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +43,18 @@ def _f64(x) -> Array:
 
 
 class TapeStats:
-    """Forward-pass counters (multiply-accumulate count from matmuls)."""
+    """Forward-pass counters (multiply-accumulate count from matmuls);
+    ``count`` adds under a lock, so threads sharing a tape lose no MACs."""
 
-    __slots__ = ("macs",)
+    __slots__ = ("macs", "_lock")
 
     def __init__(self):
         self.macs = 0
+        self._lock = threading.Lock()
+
+    def count(self, macs: int) -> None:
+        with self._lock:
+            self.macs += macs
 
 
 class Tensor:
@@ -73,8 +82,10 @@ class Tape:
     a non-recording tape (``record=False``) keeps no node and refuses
     ``backward``. Neither inspects the values it computes: ``backward``
     rejects a non-finite root, and callers check their own inputs and
-    outputs. A tape is single-threaded; parameters bound to it via
-    ``variable`` are read-only during the pass.
+    outputs. A recording tape belongs to one thread; threads may share a
+    non-recording one, which only counts MACs (``TapeStats.count``).
+    Parameters bound to a tape via ``variable`` are read-only during the
+    pass.
     """
 
     def __init__(self, record=True):
@@ -194,7 +205,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if not (av.ndim in (1, 2) and bv.ndim in (1, 2)
             and av.shape[-1] == bv.shape[0]):
         raise DimensionError(f"matmul shapes {av.shape} and {bv.shape}")
-    tape.stats.macs += av.size * (bv.shape[1] if bv.ndim == 2 else 1)
+    tape.stats.count(av.size * (bv.shape[1] if bv.ndim == 2 else 1))
     if av.ndim == 2 and bv.ndim == 2:
         back = lambda g: (g @ bv.T, av.T @ g)
     elif av.ndim == 2:
@@ -348,7 +359,7 @@ def segment_matmul(a: Tensor, b: Tensor, starts) -> Tensor:
     if not (av.ndim == bv.ndim == 2 and av.shape[1] == bv.shape[0]):
         raise DimensionError(f"segment_matmul shapes {av.shape} and {bv.shape}")
     starts, sizes = _run_sizes(starts, bv.shape[0], "segment_matmul")
-    tape.stats.macs += av.size * bv.shape[1]
+    tape.stats.count(av.size * bv.shape[1])
     runs = [slice(s, s + n) for s, n in zip(starts.tolist(), sizes.tolist())]
     b_needs = tape.record and tape._needs[b.idx]
 
@@ -545,7 +556,7 @@ def ffnn(x: Tensor, p: FfnnParams, drop: DropoutState | None = None,
     if masks and not drop1.shape == drop2.shape == shape:
         raise DimensionError(f"ffnn masks of shapes {drop1.shape} and "
                              f"{drop2.shape} for {rows} rows of width {width}")
-    tape.stats.macs += rows * in_dim * width + rows * width * width
+    tape.stats.count(rows * in_dim * width + rows * width * width)
     pre1 = xv @ Vv.T
     pre1 += a.value
     on1 = pre1 > 0 if tape.record else None  # ReLU masks, for backward only

@@ -120,6 +120,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     limits = _int_list("--truncate", args.truncate)
+    if min(limits) < 1:
+        raise UsageError(f"--truncate limits must be positive, got "
+                         f"{min(limits)}")
     params = load_checkpoint(args.checkpoint)
     table = _load_table(args.embeddings, params.arch.embed_dim)
     _echo_config({
@@ -220,9 +223,11 @@ def cmd_gradcheck(args) -> int:
     def loss_fn(arrays):
         tape = Tape()
         p = CascadeParams.from_arrays(arch, args.seed, arrays).bind(tape)
-        scores = forward_cascade(tape, p, enc)
-        return multi_loss(scores, enc.gold_spans, enc.gold_uniques,
-                          config.weights)
+        # a non-finite loss is reported by finite_difference_check
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = forward_cascade(tape, p, enc)
+            return multi_loss(scores, enc.gold_spans, enc.gold_uniques,
+                              config.weights)
 
     result = finite_difference_check(loss_fn, params.as_dict(),
                                      epsilon=args.epsilon)

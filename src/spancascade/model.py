@@ -385,16 +385,15 @@ def level3_aggregate(summed: Tensor, bound: CascadeParams,
     if n_unique < 1:
         raise ContractError("aggregation needs at least one unique candidate")
 
-    def score_rows(tape, own, lo, hi):
-        rows = _on(tape, summed)
+    def score_rows(lo, hi):
+        rows = summed
         if hi - lo < n_unique:
             rows = ad.gather(rows, np.arange(lo, hi))
-        return linear(ffnn(rows, own.nets["ffnn_l3"], drop),
-                      own.nets["linear_l3"])
+        return linear(ffnn(rows, bound.nets["ffnn_l3"], drop),
+                      bound.nets["linear_l3"])
 
-    phis = [_on(summed.tape, phi) for _, _, phi in
-            _pieces(summed.tape, bound, _chunk_ranges(n_unique),
-                    range(n_unique + 1), score_rows, pool)]
+    phis = [phi for _, _, phi in _pieces(bound.arch, _chunk_ranges(n_unique),
+                                         range(n_unique + 1), score_rows, pool)]
     return phis[0] if len(phis) == 1 else ad.concat(phis)
 
 
@@ -431,28 +430,26 @@ def sentence_summaries(tape: Tape, q: Tensor, enc: EncodedExample,
     if stats is not None:
         stats.attention_calls += len(sizes)
 
-    def attend(own_tape, own, lo, hi):
+    def attend(lo, hi):
         n, group_sizes = hi - lo, sizes[lo:hi]
         starts = np.cumsum(group_sizes) - group_sizes
-        project, compare = own.nets["ffnn_att1"], own.nets["ffnn_att2"]
+        project, compare = bound.nets["ffnn_att1"], bound.nets["ffnn_att2"]
         att1, att2_q, att2_g = _attention_masks(drop, group_sizes, m, w)
         ranges = enc.sentence_ranges  # sentences tile the tokens, so one slice
-        g = own_tape.constant(enc.doc_embed[ranges[lo][0]:ranges[hi - 1][1]])
+        g = tape.constant(enc.doc_embed[ranges[lo][0]:ranges[hi - 1][1]])
         g_projected = ffnn(g, project, masks=att1)
-        eta = ad.matmul(_on(own_tape, q_projected),
-                        ad.transpose(g_projected))  # (m, N)
+        eta = ad.matmul(q_projected, ad.transpose(g_projected))  # (m, N)
         q_att = ad.segment_matmul(ad.segment_softmax(eta, starts), g, starts)
-        g_att = ad.matmul(ad.transpose(ad.softmax(eta, axis=0)),
-                          _on(own_tape, q))  # (N, e)
-        q_rows = ad.hstack([own_tape.constant(np.tile(q.value, (n, 1))), q_att])
+        g_att = ad.matmul(ad.transpose(ad.softmax(eta, axis=0)), q)  # (N, e)
+        q_rows = ad.hstack([tape.constant(np.tile(q.value, (n, 1))), q_att])
         q_cmp = ffnn(q_rows, compare, masks=att2_q)  # (n * m, w)
         g_cmp = ffnn(ad.hstack([g, g_att]), compare, masks=att2_g)
         return (ad.segment_sum(q_cmp, np.repeat(np.arange(n), m), n),
                 ad.segment_sum(g_cmp, np.repeat(np.arange(n), group_sizes), n))
 
     offsets = list(itertools.accumulate(sizes, initial=0))
-    bars = [(_on(tape, q_bar), _on(tape, g_bar)) for _, _, (q_bar, g_bar) in
-            _pieces(tape, bound, groups, offsets, attend, pool)]
+    bars = [bar for _, _, bar in _pieces(bound.arch, groups, offsets, attend,
+                                         pool)]
     return tuple(ad.concat(list(column)) for column in zip(*bars))
 
 
@@ -470,12 +467,6 @@ def _chunk_ranges(n: int) -> list:
     return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
 
 
-def _on(tape: Tape, x: Tensor) -> Tensor:
-    """``x`` itself, or its value as a constant of ``tape`` if it lives on
-    another (non-recording) tape."""
-    return x if x.tape is tape else tape.constant(x.value)
-
-
 # A chunk is split for the pool only when its rows (or tokens) times
 # w * (e + w), a stand-in for its MACs per row, reach this (at e = w = 100,
 # 800 rows). On 2 cores at e, w <= 50, two threads ran slower than one even
@@ -484,32 +475,29 @@ def _on(tape: Tape, x: Tensor) -> Tensor:
 _POOL_MIN_WORK = 16_000_000
 
 
-def _pieces(tape: Tape, bound: CascadeParams, chunks: list, offsets, work,
-            pool=None):
-    """Yield (lo, hi, work(piece_tape, piece_bound, lo, hi)) over pieces
-    that tile the [lo, hi) ``chunks``, in order; ``offsets[i]`` counts the
-    rows (or tokens) before item i.
+def _pieces(arch: Architecture, chunks: list, offsets, work, pool):
+    """Yield (lo, hi, work(lo, hi)) over pieces that tile the [lo, hi)
+    ``chunks``, in order; ``offsets[i]`` counts the rows (or tokens) before
+    item i.
 
-    A chunk runs whole on ``tape`` itself unless the tape does not record,
-    ``pool`` (an executor) is given, the chunk holds two items or more and
-    its rows reach _POOL_MIN_WORK: then it splits, at the first item
-    boundary at or past the middle of its rows. The calling thread scores
-    the first half on ``tape``; the pool scores the second on a
-    non-recording tape of its own, whose MACs ``tape`` then counts. When a
-    split chunk starts, the second half of the next one is submitted, so
-    the pool does not wait while the caller uses the pieces it was given.
-    The pieces depend on the input's shape alone, not on the pool's size.
-    When the generator is closed or a piece raises, a queued half is
-    cancelled and a running one waited for, so none outlives the caller's
-    hold on BLAS. ``work`` must not submit to the pool: with the pool
-    thread waiting on its own submission, the pool would deadlock.
+    A chunk runs whole on the calling thread unless ``pool`` (an executor)
+    is given, the chunk holds two items or more and its rows reach
+    _POOL_MIN_WORK: then it splits, at the first item boundary at or past
+    the middle of its rows. The calling thread scores the first half and
+    the pool the second, both on the caller's tape, which must then not
+    record. When a split chunk starts, the second half of the next one is
+    submitted, so the pool does not wait while the caller uses the pieces
+    it was given. The pieces depend on the input's shape alone, not on the
+    pool's size. When the generator is closed or a piece raises, a queued
+    half is cancelled and a running one waited for, so none outlives the
+    caller's hold on BLAS. ``work`` must not submit to the pool: with the
+    pool thread waiting on its own submission, the pool would deadlock.
     """
-    arch = bound.arch
     row_work = arch.hidden_width * (arch.embed_dim + arch.hidden_width)
     plan = []  # (lo, mid, hi): the caller scores [lo, mid), the pool the rest
     for lo, hi in chunks:
         mid = hi
-        if (pool is not None and not tape.record and hi - lo >= 2 and (
+        if (pool is not None and hi - lo >= 2 and (
                 offsets[hi] - offsets[lo]) * row_work >= _POOL_MIN_WORK):
             mid = bisect.bisect_left(offsets, (offsets[lo] + offsets[hi]) / 2,
                                      lo + 1, hi - 1)
@@ -517,9 +505,8 @@ def _pieces(tape: Tape, bound: CascadeParams, chunks: list, offsets, work,
     errors = np.geterr()  # numpy's error state is per thread
 
     def run(lo, hi):
-        own = Tape(record=False)
         with np.errstate(**errors):
-            return own, work(own, _rebind(bound, own), lo, hi)
+            return work(lo, hi)
 
     # each step of this submits the next split chunk's second half
     halves = (pool.submit(run, mid, hi) for _, mid, hi in plan if mid < hi)
@@ -528,23 +515,14 @@ def _pieces(tape: Tape, bound: CascadeParams, chunks: list, offsets, work,
         for lo, mid, hi in plan:
             if mid < hi:
                 taken, ahead = ahead, next(halves, None)
-            yield lo, mid, work(tape, bound, lo, mid)
+            yield lo, mid, work(lo, mid)
             if mid < hi:
-                own, out = taken.result()
-                tape.stats.macs += own.stats.macs
-                yield mid, hi, out
+                yield mid, hi, taken.result()
     finally:  # an error or an early close leaves halves submitted
         futures = [future for future in (taken, ahead) if future]
         for future in futures:
             future.cancel()
         wait(futures)
-
-
-def _rebind(bound: CascadeParams, tape: Tape) -> CascadeParams:
-    """``bound``'s parameter values as constants of a non-recording tape."""
-    return CascadeParams(bound.arch, bound.seed, {
-        name: type(net)(*[tape.constant(x.value) for x in vars(net).values()])
-        for name, net in bound.nets.items()})
 
 
 def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
@@ -556,7 +534,8 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
     The span stages (level 1, level 2 and level 3's mention transform) run
     over the row pieces of ``_pieces``, as do sentence attention's groups
     and level 3's uniques; on a non-recording tape, ``pool`` runs the second
-    half of each large chunk while the calling thread runs the first. Each
+    half of each large chunk while the calling thread runs the first, both
+    on ``tape`` with ``bound``; a recording tape never uses it. Each
     stage waits for the one before it. The calling thread adds each piece's
     mention rows into one running sum per unique, in span order, so level 3
     gets the same bits whatever the pieces; permuting a unique's mentions
@@ -570,6 +549,8 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
     if S == 0:
         raise EmptyCandidateError("example has no candidate spans")
     macs_before = tape.stats.macs
+    if tape.record:
+        pool = None
     q_const = q_tilde = None
     if arch.needs_question_nets:  # true of every wiring with level 2
         q_const = tape.constant(enc.question)
@@ -585,44 +566,43 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
     if not tape.record and any(level.stage == 2 for level in arch.levels):
         summaries()
 
-    def span_stages(own_tape, own, lo, hi):
+    def span_stages(lo, hi):
         """Each span level's scores over rows [lo, hi), and level 3's
         mention rows (None without level 3)."""
-        gamma_col = own_tape.constant(enc.gamma[lo:hi, None])
-        s_avg, *ctx = [own_tape.constant(x) for x in enc.span_features(lo, hi)]
+        gamma_col = tape.constant(enc.gamma[lo:hi, None])
+        s_avg, *ctx = [tape.constant(x) for x in enc.span_features(lo, hi)]
         # stage 1 reads [s_avg, its blocks, gamma]; stage 2 reads the
         # stage-1 hidden states, then [q_bar, g_bar, gamma] of the sentence
         blocks = {"context": ctx}
         if q_tilde is not None:
-            blocks["question"] = [gamma_col,
-                                  ad.tile_rows(_on(own_tape, q_tilde), hi - lo)]
+            blocks["question"] = [gamma_col, ad.tile_rows(q_tilde, hi - lo)]
         hidden_states, phis, mentions = [], {}, None
         for level in arch.levels:
             if level.stage == 1:
                 columns = sum((blocks[b] for b in level.reads), [s_avg])
             elif level.stage == 2:
                 rows = enc.span_sentence[lo:hi]
-                columns = hidden_states + [ad.gather(_on(own_tape, bar), rows)
+                columns = hidden_states + [ad.gather(bar, rows)
                                            for bar in summaries()]
             else:
                 mentions = ffnn(ad.hstack([hidden_states[-1], gamma_col]),
-                                own.nets["ffnn_agg"], drop)
+                                bound.nets["ffnn_agg"], drop)
                 continue
             h, phis[level.name] = submodel(columns + [gamma_col],
-                                           own.nets["ffnn_" + level.net],
-                                           own.nets["linear_" + level.net],
+                                           bound.nets["ffnn_" + level.net],
+                                           bound.nets["linear_" + level.net],
                                            drop)
             hidden_states.append(h)
         return phis, mentions
 
     parts = {level.name: [] for level in arch.levels}
     summed = None
-    for lo, hi, (phis, mentions) in _pieces(tape, bound, _chunk_ranges(S),
+    for lo, hi, (phis, mentions) in _pieces(arch, _chunk_ranges(S),
                                             range(S + 1), span_stages, pool):
         for name, phi in phis.items():
-            parts[name].append(_on(tape, phi))
+            parts[name].append(phi)
         if mentions is not None:
-            summed = ad.segment_sum(_on(tape, mentions), enc.span_unique[lo:hi],
+            summed = ad.segment_sum(mentions, enc.span_unique[lo:hi],
                                     enc.n_unique, into=summed)
 
     scores = CascadeScores()

@@ -1,6 +1,8 @@
 """Tape autodiff: forward oracles, gradient checks, softmax properties."""
 
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -425,6 +427,30 @@ def test_non_recording_tape_keeps_nothing_and_refuses_backward():
     assert len(tape) == 0
     with pytest.raises(ContractError):
         tape.backward(out)
+
+
+def test_threads_sharing_a_non_recording_tape_count_every_mac():
+    """Four threads, switching every microsecond, run 50k matmuls each on
+    one non-recording tape; no MAC count is lost."""
+    tape = ad.Tape(record=False)
+    a, b = tape.constant(np.ones((2, 3))), tape.constant(np.ones((3, 5)))
+
+    def run():
+        for _ in range(50_000):
+            ad.matmul(a, b)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert tape.stats.macs == 4 * 50_000 * 2 * 3 * 5
 
 
 def test_tape_with_gathers_and_stacks_is_freed_without_cyclic_gc():

@@ -179,6 +179,21 @@ def test_eval_truncation_sweep(tmp_path, corpus_path, embeddings_path,
     assert second >= first
 
 
+@pytest.mark.parametrize("limits", ["5,0", "0,5", "5,-2"])
+def test_eval_rejects_a_non_positive_limit_before_loading(
+        limits, tmp_path, corpus_path, embeddings_path, capsys):
+    """Every --truncate limit is checked before the checkpoint is read
+    (this one does not exist) and before any limit is scored."""
+    code = main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                 "--data", corpus_path, "--embeddings", embeddings_path,
+                 "--out", str(tmp_path), "--truncate", limits])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"usage error: --truncate limits must be positive, got "
+                   f"{min(int(x) for x in limits.split(','))}\n")
+
+
 def test_train_non_object_corpus_line_is_io_error(tmp_path, corpus_path,
                                                  embeddings_path, capsys):
     data = tmp_path / "corpus.jsonl"
@@ -570,6 +585,15 @@ def test_gradcheck_passes_and_prints(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "max relative error" in out
+
+
+def test_gradcheck_overflowing_epsilon_is_one_numeric_error(capsys):
+    """An epsilon that overflows the forward ends in exit 3 and one line,
+    with no numpy warning (pytest turns one into an error)."""
+    assert main(["gradcheck", "--epsilon", "1e300"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: non-finite loss at ")
+    assert err.count("\n") == 1
 
 
 def test_gradcheck_impossible_threshold_fails(capsys):

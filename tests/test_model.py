@@ -704,11 +704,9 @@ def test_pieces_close_cancels_queued_and_waits_for_running():
     """Closing the piece generator after the caller's first half, while the
     pool runs the second, waits for that half and cancels the next chunk's
     queued half."""
-    params = mdl.CascadeParams.initialize(ARCH, 0)
-    tape = ad.Tape(record=False)
     started, release, ran = threading.Event(), threading.Event(), []
 
-    def work(own_tape, own, lo, hi):
+    def work(lo, hi):
         ran.append(lo)
         if lo == 1:
             started.set()
@@ -716,8 +714,7 @@ def test_pieces_close_cancels_queued_and_waits_for_running():
         return lo
 
     with _CountingPool(1) as pool:
-        pieces = mdl._pieces(tape, params.bind(tape),
-                             [(0, 2), (2, 4), (4, 6), (6, 8)],
+        pieces = mdl._pieces(ARCH, [(0, 2), (2, 4), (4, 6), (6, 8)],
                              _split_offsets(8), work, pool)
         assert next(pieces)[:2] == (0, 1)
         # the second half runs, the next chunk's second half waits queued
@@ -734,26 +731,37 @@ def test_pieces_close_cancels_queued_and_waits_for_running():
 
 
 def test_pieces_caller_scores_first_halves_and_pool_the_second():
-    """A split chunk's first half runs on the calling thread, on its tape;
-    its second half on the pool's thread; an unsplit chunk on the caller."""
-    params = mdl.CascadeParams.initialize(ARCH, 0)
-    tape = ad.Tape(record=False)
+    """A split chunk's first half runs on the calling thread, its second
+    half on the pool's thread; an unsplit chunk on the caller."""
     caller, threads = threading.get_ident(), {}
 
-    def work(own_tape, own, lo, hi):
-        threads[lo] = (threading.get_ident(), own_tape is tape)
+    def work(lo, hi):
+        threads[lo] = threading.get_ident()
         return lo
 
     with _CountingPool(1) as pool:
         pieces = [piece[:2] for piece in mdl._pieces(
-            tape, params.bind(tape), [(0, 2), (2, 3), (3, 5)],
-            _split_offsets(5), work, pool)]
+            ARCH, [(0, 2), (2, 3), (3, 5)], _split_offsets(5), work, pool)]
         assert len(pool.futures) == 2
     assert pieces == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
-    pooled = (threads[1][0], False)
-    assert pooled[0] != caller
-    assert threads == {0: (caller, True), 1: pooled, 2: (caller, True),
-                       3: (caller, True), 4: pooled}
+    pooled = threads[1]
+    assert pooled != caller
+    assert threads == {0: caller, 1: pooled, 2: caller, 3: caller, 4: pooled}
+
+
+def test_pooled_halves_score_on_the_callers_tape(monkeypatch):
+    """score_example makes one tape, though its pool scores the second
+    half of every span chunk, unique chunk and sentence group on it."""
+    params, enc = _threaded_case()
+    tapes, init = [], ad.Tape.__init__
+
+    def counting_init(self, *args, **kwargs):
+        tapes.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tape, "__init__", counting_init)
+    mdl.score_example(params, enc)
+    assert len(tapes) == 1
 
 
 def test_recording_forward_never_reaches_the_pool(toy, monkeypatch):
@@ -780,16 +788,18 @@ def test_score_example_reraises_a_piece_error_and_leaves_no_piece(
     params, enc = _threaded_case()
     before = blas._thread_calls()[0]()
     pool, calls = _CountingPool(1), []
-    rebind = mdl._rebind
+    caller, submodel = threading.get_ident(), mdl.submodel
 
-    def failing_rebind(bound, tape):
-        calls.append(None)
-        # after sentence attention's half and the span stage's first
-        if len(calls) == 1 + 2:
-            raise RuntimeError("piece failed")
-        return rebind(bound, tape)
+    def failing_submodel(*args, **kwargs):
+        if threading.get_ident() != caller:
+            calls.append(None)
+            # after sentence attention's half (which runs no submodel) and
+            # the three levels of the span stage's first pooled half
+            if len(calls) == 3 + 1:
+                raise RuntimeError("piece failed")
+        return submodel(*args, **kwargs)
 
-    monkeypatch.setattr(mdl, "_rebind", failing_rebind)
+    monkeypatch.setattr(mdl, "submodel", failing_submodel)
     monkeypatch.setattr(mdl, "_inference_pool", lambda: pool)
     try:
         with pytest.raises(RuntimeError, match="piece failed"):
