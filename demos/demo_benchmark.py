@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Throughput: batched cascade scoring vs the sequential biLSTM baseline.
 
-The baseline walks the document token by token (50 states per direction),
-so parallel hardware cannot help it. The cascade scores all spans with
-batched matrix work, so it is faster per token at every length; both costs
-are linear in the document length.
+The baseline walks the document token by token (50 states per direction,
+one fused recurrent product per step), so parallel hardware cannot help
+it. The cascade scores all spans with batched matrix work. Both costs are
+linear in the document length. On 2 vCPUs the two ran about even at 200
+tokens, and the cascade was 1.6-2.8x faster from 1000 tokens on (seven
+runs).
 """
 
 from spancascade.bench import run_benchmark

@@ -49,9 +49,10 @@ def main():
     scores = model.score_example(params, enc, stats=stats)
     print(f"\nforward pass: {stats.attention_calls} attention computations "
           f"(= sentence count), {stats.macs} multiply-accumulates")
-    dists = model.distributions(scores)
-    for level, p in dists.items():
-        print(f"  {level}: distribution over {p.shape[0]} candidates, "
+    for level, phi in scores.values().active():
+        p = np.exp(phi - np.max(phi))  # each level's softmax
+        p /= p.sum()
+        print(f"  {level.name}: distribution over {p.shape[0]} candidates, "
               f"sum = {p.sum():.15f}")
     scored = model.scored_example(params, example, enc)
     best = rank_candidates(scored)[0]

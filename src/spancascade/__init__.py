@@ -40,7 +40,6 @@ from .model import (
     EncodedExample,
     ForwardStats,
     Prediction,
-    distributions,
     encode_example,
     forward_cascade,
     load_checkpoint,

@@ -1,8 +1,10 @@
 """Throughput benchmark: cascade inference vs a sequential biLSTM baseline.
 
 The baseline is a forward-only 50-state bidirectional LSTM with two linear
-position heads; its token loop is inherently sequential per direction, so
-no amount of parallel hardware can help it. The cascade side is
+position heads. Its gates are fused: the input projections of all tokens
+are one product, then each step does one recurrent product. That token
+loop is inherently sequential per direction, so no amount of parallel
+hardware can help it. The cascade side is
 ``score_example``, whose span and sentence stages are batched matrix work;
 the calling thread and a one-thread pool score the two halves of each large
 chunk at once. Timings use medians over repetitions with a discarded warmup
@@ -40,34 +42,23 @@ def _sigmoid(x):
 
 @dataclass
 class LstmDirection:
-    """Gate weights of one direction: input, forget, output, cell."""
+    """Fused gate weights of one direction; rows are the input, forget,
+    output and cell gates' blocks of ``state_size`` rows each."""
 
-    W_i: np.ndarray
-    U_i: np.ndarray
-    b_i: np.ndarray
-    W_f: np.ndarray
-    U_f: np.ndarray
-    b_f: np.ndarray
-    W_o: np.ndarray
-    U_o: np.ndarray
-    b_o: np.ndarray
-    W_g: np.ndarray
-    U_g: np.ndarray
-    b_g: np.ndarray
+    W: np.ndarray  # (4 s, e)
+    U: np.ndarray  # (4 s, s)
+    b: np.ndarray  # (4 s,)
 
     @classmethod
     def initialize(cls, embed_dim: int, state_size: int,
                    rng: np.random.Generator) -> "LstmDirection":
-        def w():
-            r = np.sqrt(6.0 / (embed_dim + state_size))
-            return rng.uniform(-r, r, size=(state_size, embed_dim))
-
-        def u():
-            r = np.sqrt(6.0 / (2 * state_size))
-            return rng.uniform(-r, r, size=(state_size, state_size))
-
-        z = lambda: np.zeros(state_size)
-        return cls(w(), u(), z(), w(), u(), z(), w(), u(), z(), w(), u(), z())
+        rw = np.sqrt(6.0 / (embed_dim + state_size))
+        ru = np.sqrt(6.0 / (2 * state_size))
+        gates = [(rng.uniform(-rw, rw, size=(state_size, embed_dim)),
+                  rng.uniform(-ru, ru, size=(state_size, state_size)))
+                 for _ in range(4)]
+        W, U = (np.concatenate(blocks) for blocks in zip(*gates))
+        return cls(W, U, np.zeros(4 * state_size))
 
 
 @dataclass
@@ -81,7 +72,7 @@ class BiLstmParams:
 
     @property
     def state_size(self) -> int:
-        return self.forward.W_i.shape[0]
+        return self.forward.U.shape[1]
 
     @classmethod
     def initialize(cls, embed_dim: int, state_size: int = BASELINE_STATE_SIZE,
@@ -98,19 +89,17 @@ class BiLstmParams:
 
 def _run_direction(X: np.ndarray, d: LstmDirection, reverse: bool) -> np.ndarray:
     n = X.shape[0]
-    h_size = d.W_i.shape[0]
-    states = np.zeros((n, h_size))
-    h = np.zeros(h_size)
-    c = np.zeros(h_size)
+    s = d.U.shape[1]
+    inputs = X @ d.W.T + d.b  # every token's input projection, one product
+    states = np.zeros((n, s))
+    h = np.zeros(s)
+    c = np.zeros(s)
     order = range(n - 1, -1, -1) if reverse else range(n)
     for t in order:
-        x = X[t]
-        i = _sigmoid(d.W_i @ x + d.U_i @ h + d.b_i)
-        f = _sigmoid(d.W_f @ x + d.U_f @ h + d.b_f)
-        o = _sigmoid(d.W_o @ x + d.U_o @ h + d.b_o)
-        g = np.tanh(d.W_g @ x + d.U_g @ h + d.b_g)
-        c = f * c + i * g
-        h = o * np.tanh(c)
+        z = inputs[t] + d.U @ h
+        ifo = _sigmoid(z[:3 * s])
+        c = ifo[s:2 * s] * c + ifo[:s] * np.tanh(z[3 * s:])
+        h = ifo[2 * s:] * np.tanh(c)
         states[t] = h
     return states
 

@@ -74,16 +74,19 @@ def _load_table(path, dimension):
     return load_embeddings(path, dimension)
 
 
-def _load_corpus(path, config):
+def _check_limits(limits: list) -> list:
+    """Reject a ``--truncate`` token cap below 1; every command that takes
+    the flag calls this before it reads a file."""
+    if min(limits) < 1:
+        raise UsageError(f"--truncate limits must be positive, got "
+                         f"{min(limits)}")
+    return limits
+
+
+def _load_corpus(path, mode, max_tokens):
     if not os.path.exists(path):
         raise DataError(f"data file not found: {path}")
-    return load_examples(
-        path,
-        mode=config.instance_mode,
-        max_tokens=config.max_tokens,
-        max_sentences=config.max_sentences,
-        max_sentence_len=config.max_sentence_len,
-    )
+    return load_examples(path, mode=mode, max_tokens=max_tokens)
 
 
 def _resolve_train_config(args):
@@ -104,10 +107,12 @@ def _resolve_train_config(args):
 def cmd_train(args) -> int:
     from .training import train
 
+    _check_limits([args.truncate])
     config = _resolve_train_config(args)
-    _echo_config(config.as_flat_dict())
+    _echo_config({**config.as_flat_dict(), "mode": args.mode,
+                  "truncate": args.truncate})
     table = _load_table(args.embeddings, args.dim)
-    examples = _load_corpus(args.data, config)
+    examples = _load_corpus(args.data, args.mode, args.truncate)
     result = train(examples, config, table, out_dir=args.out,
                    log=lambda msg: print(msg))
     if result.metrics:
@@ -119,10 +124,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    limits = _int_list("--truncate", args.truncate)
-    if min(limits) < 1:
-        raise UsageError(f"--truncate limits must be positive, got "
-                         f"{min(limits)}")
+    limits = _check_limits(_int_list("--truncate", args.truncate))
+    if args.topk < 1:
+        raise UsageError(f"--topk must be positive, got {args.topk}")
     params = load_checkpoint(args.checkpoint)
     table = _load_table(args.embeddings, params.arch.embed_dim)
     _echo_config({
@@ -134,7 +138,7 @@ def cmd_eval(args) -> int:
     sweep = len(limits) > 1
     rows = []  # truncation sweep: limit, EM, oracle EM per limit
     for limit in limits:
-        examples = load_examples(args.data, mode=args.mode, max_tokens=limit)
+        examples = _load_corpus(args.data, args.mode, limit)
         if not examples:
             raise UsageError(f"no examples in {args.data}")
         report = evaluate(scorer, examples, k_max=args.topk)
@@ -160,6 +164,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_limits([args.truncate])
     if corpus.LONE_SURROGATE.search(args.question):
         raise UsageError("--question is not UTF-8 text (it holds a lone surrogate)")
     question = tokenize(args.question).tokens
@@ -257,6 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablation", help="named ablation configuration")
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
+    p.add_argument("--truncate", type=int, default=corpus.DEFAULT_MAX_TOKENS,
+                   help="token cap per document")
+    p.add_argument("--mode", choices=("wiki", "web"), default="wiki")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a JSONL corpus")

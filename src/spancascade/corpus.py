@@ -267,8 +267,6 @@ def load_examples(
     source,
     mode: str = "wiki",
     max_tokens: int = DEFAULT_MAX_TOKENS,
-    max_sentences: int = DEFAULT_MAX_SENTENCES,
-    max_sentence_len: int = DEFAULT_MAX_SENTENCE_LEN,
 ) -> list[QAExample]:
     """Read JSON-lines QA records into tokenized, truncated examples.
 
@@ -277,14 +275,14 @@ def load_examples(
     of text lines such as an open text stream. ``mode`` selects instance
     construction: "wiki" keeps one instance per question with all its
     documents; "web" emits one instance per question-document pair (ids
-    suffixed ``::<doc index>``).
+    suffixed ``::<doc index>``). Each document goes through ``truncate``
+    with ``max_tokens`` and the default sentence caps.
     """
     if mode not in ("wiki", "web"):
         raise ContractError(f"mode must be 'wiki' or 'web', got {mode!r}")
     if isinstance(source, (str, os.PathLike)):
         with open_text(source) as fh:
-            return load_examples(fh, mode, max_tokens, max_sentences,
-                                 max_sentence_len)
+            return load_examples(fh, mode, max_tokens)
     examples: list[QAExample] = []
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
@@ -323,11 +321,7 @@ def load_examples(
         raw_docs = record["documents"]
         if not raw_docs:
             raise ParseError("empty documents array", line_number=lineno)
-        docs = [
-            truncate(tokenize(d), max_tokens, max_sentences,
-                     max_sentence_len)
-            for d in raw_docs
-        ]
+        docs = [truncate(tokenize(d), max_tokens) for d in raw_docs]
         if mode == "wiki":
             examples.append(
                 QAExample(record["id"], question, docs, answers)

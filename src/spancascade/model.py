@@ -1,4 +1,4 @@
-"""The four-submodel span-scoring cascade and its candidate distributions.
+"""The four-submodel span-scoring cascade and its prediction scores.
 
 Level 1 scores each candidate span from bags of embeddings: one submodel
 pairs the span with a learned weighted summary of the question, the other
@@ -616,19 +616,7 @@ def forward_cascade(tape: Tape, bound: CascadeParams, enc: EncodedExample,
 
 
 # ---------------------------------------------------------------------------
-# distributions and prediction
-
-
-def distributions(scores: CascadeScores) -> dict:
-    """Softmax (``autodiff._softmax``) of each active level's scores; keyed
-    by level name."""
-    out = {}
-    for level, phi in scores.values().active():
-        phi = np.asarray(phi)
-        if phi.size == 0:
-            raise EmptyCandidateError(f"level {level.name} has no candidates")
-        out[level.name] = ad._softmax(phi, axis=0)
-    return out
+# prediction
 
 
 def prediction_scores(scores: CascadeScores, enc: EncodedExample) -> np.ndarray:

@@ -106,10 +106,6 @@ class TrainConfig:
     context_size: int = 1
     weights: LossWeights = None  # None: the ablation's weights
     ablation: str = "full"
-    instance_mode: str = "wiki"
-    max_tokens: int = corpus.DEFAULT_MAX_TOKENS
-    max_sentences: int = corpus.DEFAULT_MAX_SENTENCES
-    max_sentence_len: int = corpus.DEFAULT_MAX_SENTENCE_LEN
 
     def __post_init__(self):
         if self.weights is None:
@@ -127,8 +123,6 @@ class TrainConfig:
             if not 0.0 < getattr(self, key) < np.inf:  # also rejects NaN
                 raise ContractError(f"{key} must be positive and finite, "
                                     f"got {getattr(self, key)}")
-        if self.instance_mode not in ("wiki", "web"):
-            raise ContractError(f"bad instance_mode {self.instance_mode!r}")
         live = {level.slot for level in self.arch(1).levels}  # any dimension
         for slot, w in enumerate(self.weights.as_tuple()):
             if w > 0 and slot not in live:

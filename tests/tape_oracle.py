@@ -1,14 +1,28 @@
-"""Unfused tape ops that only the tests use.
+"""Unfused tape ops, and the level distributions, that only the tests use.
 
 The package fuses ReLU, dropout and the row sums into ``ffnn`` and the
 attention pass. These single-purpose nodes rebuild those computations op
 by op, as the oracle chain that the fused code is checked against.
+``distributions`` is the per-level softmax that the probability checks
+read.
 """
 
 import numpy as np
 
 from spancascade import autodiff as ad
-from spancascade.errors import DimensionError
+from spancascade.errors import DimensionError, EmptyCandidateError
+
+
+def distributions(scores):
+    """Softmax (``autodiff._softmax``) of each active level's scores of a
+    ``model.CascadeScores``; keyed by level name."""
+    out = {}
+    for level, phi in scores.values().active():
+        phi = np.asarray(phi)
+        if phi.size == 0:
+            raise EmptyCandidateError(f"level {level.name} has no candidates")
+        out[level.name] = ad._softmax(phi, axis=0)
+    return out
 
 
 def relu(a):

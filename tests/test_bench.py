@@ -46,6 +46,42 @@ def test_bilstm_reversal_correspondence():
     np.testing.assert_allclose(rev_bwd, fwd_states[::-1], rtol=1e-12)
 
 
+def _per_gate_direction(X, d, reverse):
+    """One LSTM direction gate by gate, each input product inside the loop."""
+    s = d.U.shape[1]
+    W_i, W_f, W_o, W_g = (d.W[k * s:(k + 1) * s] for k in range(4))
+    U_i, U_f, U_o, U_g = (d.U[k * s:(k + 1) * s] for k in range(4))
+    b_i, b_f, b_o, b_g = (d.b[k * s:(k + 1) * s] for k in range(4))
+    sigmoid = lambda v: 1.0 / (1.0 + np.exp(-v))
+    states = np.zeros((X.shape[0], s))
+    h, c = np.zeros(s), np.zeros(s)
+    order = range(X.shape[0])
+    for t in (reversed(order) if reverse else order):
+        x = X[t]
+        i = sigmoid(W_i @ x + U_i @ h + b_i)
+        f = sigmoid(W_f @ x + U_f @ h + b_f)
+        o = sigmoid(W_o @ x + U_o @ h + b_o)
+        g = np.tanh(W_g @ x + U_g @ h + b_g)
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        states[t] = h
+    return states
+
+
+@pytest.mark.parametrize("embed_dim, state_size", [(4, 3), (16, 50)])
+def test_fused_gates_match_per_gate_reference(embed_dim, state_size):
+    rng = np.random.default_rng(embed_dim)
+    params = BiLstmParams.initialize(embed_dim, state_size, seed=1)
+    for d in (params.forward, params.backward):
+        d.b[:] = rng.normal(size=d.b.shape)  # nonzero biases, per gate
+    X = rng.normal(size=(40, embed_dim))
+    expected = np.concatenate(
+        [_per_gate_direction(X, params.forward, reverse=False),
+         _per_gate_direction(X, params.backward, reverse=True)], axis=1)
+    np.testing.assert_allclose(bilstm_forward(X, params), expected,
+                               rtol=0, atol=1e-12)
+
+
 def test_bilstm_rejects_empty():
     params = BiLstmParams.initialize(4, state_size=3, seed=0)
     with pytest.raises(ContractError):

@@ -4,10 +4,11 @@ import argparse
 import json
 import os
 import re
+from types import SimpleNamespace
 
 import pytest
 
-from spancascade import cli
+from spancascade import cli, training
 from spancascade.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
@@ -120,11 +121,13 @@ def test_train_ablation_resolves_weights(tmp_path, corpus_path,
     assert "lambda4 = 1.0" in out and "lambda1 = 0.0" in out
 
 
-# former wiring flags, and Architecture's ``wiring``, which only
-# ``ablation`` sets
+# former wiring flags, Architecture's ``wiring``, which only ``ablation``
+# sets, and the former data-loading keys (train's --mode and --truncate now,
+# with the sentence caps fixed at ``truncate``'s defaults)
 @pytest.mark.parametrize("key", [
     "single_loss", "drop_level2", "drop_level3", "combined_level1",
-    "wiring",
+    "wiring", "instance_mode", "max_tokens", "max_sentences",
+    "max_sentence_len",
 ])
 def test_train_removed_wiring_key_is_usage_error(tmp_path, corpus_path,
                                                  embeddings_path, key, capsys):
@@ -134,7 +137,49 @@ def test_train_removed_wiring_key_is_usage_error(tmp_path, corpus_path,
             "--dim", "8", "--out", str(tmp_path / "out")]
     for extra in (["--set", f"{key}=true"], ["--config", str(conf)]):
         assert main(base + extra) == EXIT_USAGE
-        assert repr(key) in capsys.readouterr().err
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_train_mode_and_truncate_select_the_training_set(
+        tmp_path, corpus_path, embeddings_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(training, "train", lambda examples, *a, **k: (
+        seen.append(examples) or SimpleNamespace(metrics=[], skipped=0)))
+    code = main(["train", "--data", corpus_path, "--embeddings",
+                 embeddings_path, "--dim", "8", "--out", str(tmp_path),
+                 "--mode", "web", "--truncate", "7"])
+    assert code == EXIT_OK
+    assert seen == [load_examples(corpus_path, mode="web", max_tokens=7)]
+    assert seen[0] != load_examples(corpus_path, mode="web")
+    out = capsys.readouterr().out
+    assert "  mode = web\n" in out and "  truncate = 7\n" in out
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    ("train", "--truncate", "--truncate limits must be positive, got 0"),
+    ("eval", "--truncate", "--truncate limits must be positive, got 0"),
+    ("predict", "--truncate", "--truncate limits must be positive, got 0"),
+    ("eval", "--topk", "--topk must be positive, got 0"),
+], ids=["train-truncate", "eval-truncate", "predict-truncate", "eval-topk"])
+def test_limit_below_one_is_rejected_before_any_file_is_read(
+        command, flag, message, tmp_path, capsys):
+    """No checkpoint, embeddings, corpus or document exists here."""
+    missing = str(tmp_path / "missing")
+    paths = {"train": ["--data", missing, "--embeddings", missing,
+                       "--dim", "8"],
+             "eval": ["--checkpoint", missing, "--data", missing,
+                      "--embeddings", missing],
+             "predict": ["--checkpoint", missing, "--embeddings", missing,
+                         "--question", "which item ?",
+                         "--document", missing]}[command]
+    out_dir = tmp_path / "out"
+    if command != "predict":
+        paths += ["--out", str(out_dir)]
+    assert main([command] + paths + [flag, "0"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_eval_prints_metrics_and_writes_reports(tmp_path, corpus_path,
@@ -524,15 +569,14 @@ def _runnable(command, tmp_path, corpus_path, embeddings_path, trained_dir):
      "--threshold must be positive and finite, got nan"),
     (["gradcheck", "--threshold", "inf"],
      "--threshold must be positive and finite, got inf"),
-    (["train", "--set", "max_tokens=0"], "max_tokens must be positive, got 0"),
-    (["train", "--set", "max_sentence_len=-1"],
-     "max_sentence_len must be positive, got -1"),
+    (["train", "--truncate", "0"], "--truncate limits must be positive, got 0"),
+    (["eval", "--topk", "-1"], "--topk must be positive, got -1"),
 ], ids=["truncate-word", "truncate-list", "lengths-list", "lengths-empty",
         "dim-negative", "dim-zero", "epsilon-nan", "train-seed",
         "gradcheck-seed", "gradcheck-table-seed", "bench-seed",
         "learning-rate-nan",
         "learning-rate-inf", "accumulator-init-nan", "threshold-nan",
-        "threshold-inf", "max-tokens-zero", "max-sentence-len-negative"])
+        "threshold-inf", "train-truncate-zero", "eval-topk-negative"])
 def test_malformed_number_is_usage_error(args, message, tmp_path, corpus_path,
                                          embeddings_path, trained_dir, capsys):
     args = args + _runnable(args[0], tmp_path, corpus_path, embeddings_path,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spancascade.corpus import (
+    DEFAULT_MAX_SENTENCE_LEN,
     Document,
     QAExample,
     build_candidates,
@@ -462,9 +463,11 @@ def test_load_examples_applies_truncation():
     docs = " ".join(["w"] * 100)
     line = ('{"id": "q", "question": "what ?", "documents": ["%s"], '
             '"answers": ["w"]}' % docs)
-    examples = load_examples(io.StringIO(line + "\n"), max_tokens=10,
-                             max_sentence_len=10)
+    examples = load_examples(io.StringIO(line + "\n"), max_tokens=10)
     assert len(examples[0].documents[0]) == 10
+    # the one sentence keeps truncate's default cap of 50 tokens
+    examples = load_examples(io.StringIO(line + "\n"), max_tokens=60)
+    assert len(examples[0].documents[0]) == DEFAULT_MAX_SENTENCE_LEN
 
 
 def test_load_examples_from_path_object(tmp_path):

